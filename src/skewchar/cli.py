@@ -3,12 +3,14 @@
 Exit codes: 0 success (or equality not excluded), 1 usage error,
 2 domain precondition failure, 3 definitively unequal (eqcheck),
 4 structural failure (eqcheck), 5 verification mismatch, 6 oracle run
-refused because the instance exceeds --max-boxes.
+refused because the instance exceeds --max-boxes, 7 internal error (an
+invariant of the computation failed; a bug, never an input problem).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -29,6 +31,7 @@ EXIT_UNEQUAL = 3
 EXIT_STRUCTURAL = 4
 EXIT_VERIFY = 5
 EXIT_TOO_LARGE = 6
+EXIT_INTERNAL = 7
 
 
 class UsageError(Exception):
@@ -55,6 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="skewchar", description="Exact skew character computations")
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
@@ -378,6 +382,8 @@ def run(cmd: Command) -> tuple[int, str]:
         return _HANDLERS[cmd.verb](cmd)
     except ValueError as exc:
         return EXIT_PRECONDITION, f"error: {exc}"
+    except AssertionError as exc:
+        return EXIT_INTERNAL, f"internal error: {exc}"
 
 
 def main(argv: list[str] | None = None) -> int:

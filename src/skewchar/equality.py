@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .lr import decompose_skew
 from .partitions import Partition
-from .ribbons import nw_labeling, strip_nw_ribbons
+from .ribbons import nw_labeling
 from .skew import SkewDiagram, normalize
 
 CONDITIONS = ("pi_nw", "ribbon_count", "arm_leg")
@@ -75,19 +75,26 @@ class EqualityReport:
 
 
 def necessary_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:
-    """Compare ribbon data of both diagrams at every stripping level."""
-    ca, cb = normalize(a), normalize(b)
-    top = min(len(nw_labeling(ca).profiles), len(nw_labeling(cb).profiles))
+    """Compare ribbon data of both diagrams at every stripping level.
+
+    Level t compares the suffixes ``profiles[t:]`` of one labeling per
+    diagram.  Identity: stripping the first t northwest ribbons and
+    relabeling gives the level-0 layers t+1, t+2, ... with every index
+    lowered by t.  Proof: a box labeled v > t ends a northwest diagonal
+    run labeled 1..v, and stripping removes exactly the run's first t
+    boxes, so its new label is v - t.  Layer data ignore translation, so
+    no normalization is needed.
+    """
+    pa, pb = nw_labeling(a).profiles, nw_labeling(b).profiles
     levels = []
     failure: tuple[int, str] | None = None
-    for t in range(top + 1):
-        la, lb = nw_labeling(ca), nw_labeling(cb)
+    for t in range(min(len(pa), len(pb)) + 1):
+        sa, sb = pa[t:], pb[t:]
         record = LevelRecord(
             level=t,
-            pi_nw_equal=la.pi_nw == lb.pi_nw,
-            k_equal=[p.k for p in la.profiles] == [p.k for p in lb.profiles],
-            armleg_equal=[(p.arm, p.leg) for p in la.profiles]
-            == [(p.arm, p.leg) for p in lb.profiles],
+            pi_nw_equal=[p.size for p in sa] == [p.size for p in sb],
+            k_equal=[p.k for p in sa] == [p.k for p in sb],
+            armleg_equal=[(p.arm, p.leg) for p in sa] == [(p.arm, p.leg) for p in sb],
         )
         levels.append(record)
         if failure is None:
@@ -96,9 +103,6 @@ def necessary_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:
                 if not ok:
                     failure = (t, condition)
                     break
-        if t < top:
-            ca = strip_nw_ribbons(ca, 1)
-            cb = strip_nw_ribbons(cb, 1)
     return EqualityReport(
         levels=tuple(levels),
         passed=failure is None,

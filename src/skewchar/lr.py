@@ -178,38 +178,45 @@ def _row_fillings(a, b, prev, prev_a, counts, vmax):
     `prev` holds the previous row's entries starting at column prev_a + 1;
     columns outside it carry no constraint.  Entries are produced right to
     left, which is the reverse-row-word order the lattice counts live in.
+    The depth-first search keeps its stack in `entries` itself, so a row
+    of any length needs no recursion; values are tried in ascending order.
     """
     width = b - a
+    if not width:
+        return [((), tuple(counts))]
+    lows = [prev[k] + 1 if 0 <= k < len(prev) else 1 for k in range(a - prev_a, b - prev_a)]
     entries = [0] * width
     cnt = list(counts)
     out = []
-
-    def rec(j, cap):
-        if j == a:
-            out.append((tuple(entries), tuple(cnt)))
-            return
-        k = j - prev_a - 1
-        lo = prev[k] + 1 if 0 <= k < len(prev) else 1
-        for v in range(lo, min(cap, vmax) + 1):
-            if v > len(cnt) + 1:
-                break
-            grew = v == len(cnt) + 1
-            cv = 0 if grew else cnt[v - 1]
-            if v > 1 and cnt[v - 2] <= cv:
-                continue
-            if grew:
+    # entries[i + 1:] are placed; v is the next value to try at position i.
+    # Every count is positive, so undoing a placement that grew cnt leaves
+    # a zero at its end, and only then.
+    i, v = width - 1, lows[-1]
+    while True:
+        cap = entries[i + 1] if i + 1 < width else vmax
+        n = len(cnt)
+        while 1 < v <= n and v <= cap and cnt[v - 2] <= cnt[v - 1]:
+            v += 1
+        if v <= cap and v <= n + 1:
+            if v > n:
                 cnt.append(1)
             else:
-                cnt[v - 1] = cv + 1
-            entries[j - a - 1] = v
-            rec(j - 1, v)
-            if grew:
-                cnt.pop()
-            else:
-                cnt[v - 1] = cv
-
-    rec(b, vmax)
-    return out
+                cnt[v - 1] += 1
+            entries[i] = v
+            if i:
+                i -= 1
+                v = lows[i]
+                continue
+            out.append((tuple(entries), tuple(cnt)))
+        else:
+            i += 1
+            if i == width:
+                return out
+            v = entries[i]
+        cnt[v - 1] -= 1
+        if not cnt[v - 1]:
+            cnt.pop()
+        v += 1
 
 
 def decompose_skew(diagram: SkewDiagram) -> CharacterSum:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import Partition
-from .skew import Box, SkewDiagram, skew_from_boxes
+from .skew import Box, SkewDiagram, box_components, skew_from_boxes
 
 
 @dataclass(frozen=True)
@@ -37,40 +37,27 @@ class RibbonLabeling:
     profiles: tuple[RibbonProfile, ...]
 
 
-def _component_count(boxes: set[tuple[int, int]]) -> int:
-    remaining = set(boxes)
-    count = 0
-    while remaining:
-        count += 1
-        frontier = [remaining.pop()]
-        while frontier:
-            r, c = frontier.pop()
-            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if nb in remaining:
-                    remaining.discard(nb)
-                    frontier.append(nb)
-    return count
-
-
 def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
     """Label every box with its northwest ribbon index."""
     labels: dict[Box, int] = {}
+    layers: list[list[Box]] = []
     for box in a.boxes():
-        labels[box] = labels.get(Box(box.row - 1, box.col - 1), 0) + 1
-    nlevels = max(labels.values(), default=0)
-    sizes = [0] * nlevels
-    for v in labels.values():
-        sizes[v - 1] += 1
-    if any(sizes[i] < sizes[i + 1] for i in range(nlevels - 1)):
+        # the northwest neighbour comes earlier in row order, so v <= len(layers) + 1
+        v = labels.get(Box(box.row - 1, box.col - 1), 0) + 1
+        labels[box] = v
+        if v > len(layers):
+            layers.append([])
+        layers[v - 1].append(box)
+    sizes = [len(layer) for layer in layers]
+    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
         raise AssertionError(f"northwest ribbon sizes are not weakly decreasing: {sizes}")
     profiles = []
-    for level in range(1, nlevels + 1):
-        level_boxes = {b for b, v in labels.items() if v == level}
-        k = _component_count(level_boxes)
-        ncols = len({c for _, c in level_boxes})
-        nrows = len({r for r, _ in level_boxes})
+    for level, layer in enumerate(layers, 1):
+        k = len(box_components(layer))
+        ncols = len({c for _, c in layer})
+        nrows = len({r for r, _ in layer})
         profile = RibbonProfile(
-            index=level, size=len(level_boxes), k=k, arm=ncols - k, leg=nrows - k
+            index=level, size=len(layer), k=k, arm=ncols - k, leg=nrows - k
         )
         if profile.size != profile.arm + profile.leg + profile.k:
             raise AssertionError(f"inconsistent ribbon layer {profile}")

@@ -131,16 +131,12 @@ def rotate180(a: SkewDiagram) -> SkewDiagram:
     return skew_from_boxes((rmax + 1 - r, cmax + 1 - c) for r, c in bs)
 
 
-def components(a: SkewDiagram) -> list[SkewDiagram]:
-    """Maximal box groups sharing no row or column, topmost group first.
-
-    For skew shapes these are exactly the edge-connected components.
-    """
-    remaining = set(a.boxes())
+def box_components(boxes: Iterable[tuple[int, int]]) -> list[set[tuple[int, int]]]:
+    """Edge-connected groups of a box set, in no particular order."""
+    remaining = set(boxes)
     groups = []
     while remaining:
-        frontier = [min(remaining)]
-        remaining.discard(frontier[0])
+        frontier = [remaining.pop()]
         group = set(frontier)
         while frontier:
             r, c = frontier.pop()
@@ -150,8 +146,15 @@ def components(a: SkewDiagram) -> list[SkewDiagram]:
                     group.add(nb)
                     frontier.append(nb)
         groups.append(group)
-    groups.sort(key=min)
-    return [skew_from_boxes(g) for g in groups]
+    return groups
+
+
+def components(a: SkewDiagram) -> list[SkewDiagram]:
+    """Maximal box groups sharing no row or column, topmost group first.
+
+    For skew shapes these are exactly the edge-connected components.
+    """
+    return [skew_from_boxes(g) for g in sorted(box_components(a.boxes()), key=min)]
 
 
 def embed_disjoint(alpha: Partition, beta: Partition) -> SkewDiagram:

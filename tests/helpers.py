@@ -6,13 +6,19 @@ import random
 
 from skewchar import (
     Box,
+    EqualityReport,
+    LevelRecord,
     LRTableau,
     Partition,
     SkewDiagram,
     enumerate_lr_fillings,
     is_lattice_word,
+    normalize,
+    nw_labeling,
     partitions_of_weight_in_box,
+    strip_nw_ribbons,
 )
+from skewchar.equality import CONDITIONS
 
 
 def P(*parts: int) -> Partition:
@@ -77,3 +83,36 @@ def brute_decompose(a: SkewDiagram) -> dict[Partition, int]:
         if count:
             out[nu] = count
     return out
+
+
+def per_level_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:
+    """Reference structural test: strip one ribbon per level and relabel.
+
+    Independent of the suffix identity used by necessary_conditions.
+    """
+    ca, cb = normalize(a), normalize(b)
+    top = min(len(nw_labeling(ca).profiles), len(nw_labeling(cb).profiles))
+    levels = []
+    failure = None
+    for t in range(top + 1):
+        la, lb = nw_labeling(ca), nw_labeling(cb)
+        record = LevelRecord(
+            level=t,
+            pi_nw_equal=la.pi_nw == lb.pi_nw,
+            k_equal=[p.k for p in la.profiles] == [p.k for p in lb.profiles],
+            armleg_equal=[(p.arm, p.leg) for p in la.profiles]
+            == [(p.arm, p.leg) for p in lb.profiles],
+        )
+        levels.append(record)
+        flags = (record.pi_nw_equal, record.k_equal, record.armleg_equal)
+        if failure is None:
+            failure = next(((t, c) for c, ok in zip(CONDITIONS, flags) if not ok), None)
+        if t < top:
+            ca = strip_nw_ribbons(ca, 1)
+            cb = strip_nw_ribbons(cb, 1)
+    return EqualityReport(
+        levels=tuple(levels),
+        passed=failure is None,
+        fail_level=failure[0] if failure else None,
+        fail_condition=failure[1] if failure else None,
+    )

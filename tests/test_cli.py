@@ -7,6 +7,7 @@ import pytest
 from skewchar import Partition, SkewDiagram, render, render_labels, render_plain
 from skewchar import cli
 from skewchar.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_STRUCTURAL,
@@ -73,6 +74,21 @@ class TestParse:
         with pytest.raises(UsageError):
             parse_args(["decompose", "2,x"])
 
+    def test_consecutive_parses_share_no_flags(self):
+        first = parse_args(["ribbons", "3,2", "--strip", "1", "--json"])
+        assert (first.strip, first.json_out) == (1, True)
+        second = parse_args(["ribbons", "3,2"])
+        assert (second.strip, second.json_out) == (0, False)
+        third = parse_args(["schubert", "2", "1", "--box", "2,2", "--json"])
+        assert third.box == (2, 2) and third.json_out
+        fourth = parse_args(["product", "2", "1"])
+        assert fourth.box is None and not fourth.json_out and fourth.strip == 0
+        with pytest.raises(UsageError):
+            parse_args(["schubert", "2", "1"])
+        with pytest.raises(UsageError):
+            parse_args(["decompose", "2,1", "--strip", "1"])
+        assert parse_args(["decompose", "2,1"]).verb == "decompose"
+
     def test_domain_error_is_not_usage(self):
         with pytest.raises(ValueError) as err:
             parse_args(["decompose", "2,2 / 3"])
@@ -88,6 +104,12 @@ class TestRun:
             "weight": 3,
             "terms": [{"partition": [2, 1], "mult": 1}],
         }
+
+    def test_long_rows(self):
+        for text, n in (("1200", 1200), ("1500/300", 1200)):
+            code, out = run(parse_args(["decompose", text]))
+            assert code == EXIT_OK
+            assert out == f"weight {n}, 1 terms\n  [{n}]  1\n"
 
     def test_ribbons_output(self):
         code, text = run(parse_args(["ribbons", "10^2,8^4,5^2 / 5^4"]))
@@ -225,6 +247,18 @@ class TestMainEntry:
             [sys.executable, "-m", "skewchar", "nonsense"], capture_output=True, text=True
         )
         assert proc.returncode == EXIT_USAGE
+
+    def test_internal_error_exit(self, monkeypatch, capsys):
+        def broken(a):
+            raise AssertionError("northwest ribbon sizes are not weakly decreasing: [1, 2]")
+
+        monkeypatch.setattr(cli, "nw_labeling", broken)
+        assert cli.main(["ribbons", "2,1"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: northwest ribbon sizes are not weakly decreasing: [1, 2]\n"
+        )
 
     def test_precondition_exit(self):
         proc = subprocess.run(

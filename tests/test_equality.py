@@ -2,14 +2,17 @@ import random
 
 from skewchar import (
     check_equality,
+    equality,
     full_equality,
     necessary_conditions,
     parse_skew,
+    ribbons,
     rotate180,
+    skew,
     translate,
 )
 
-from helpers import P, SD, random_skew
+from helpers import P, SD, per_level_conditions, random_skew
 
 PAIR_A = parse_skew("10^2,8^4,5^2 / 5^4")
 PAIR_B = parse_skew("10^4,8^2,3^2 / 5^4")
@@ -43,6 +46,38 @@ class TestStructural:
         assert not report.passed
         assert report.fail_condition == "pi_nw"
         assert report.fail_level == 0
+
+    def test_matches_per_level_reference(self, monkeypatch):
+        calls = []
+        labeling = equality.nw_labeling
+
+        def counted(d):
+            calls.append(d)
+            return labeling(d)
+
+        monkeypatch.setattr(equality, "nw_labeling", counted)
+        rng = random.Random(65)
+        pairs = [(PAIR_A, PAIR_B)]
+        while len(pairs) < 150:
+            a, b = random_skew(rng), random_skew(rng)
+            if a.size == b.size:
+                pairs.append((a, b))
+        for _ in range(40):
+            a = random_skew(rng)
+            pairs.append((a, rotate180(a)))
+            pairs.append((a, translate(a, rng.randint(0, 3), rng.randint(0, 3))))
+        with monkeypatch.context() as m:
+            # stripping and normalizing both go through skew_from_boxes
+            m.setattr(ribbons, "skew_from_boxes", None)
+            m.setattr(skew, "skew_from_boxes", None)
+            reports = []
+            for a, b in pairs:
+                calls.clear()
+                reports.append(necessary_conditions(a, b))
+                assert calls == [a, b]
+        assert any(not r.passed for r in reports) and any(r.passed for r in reports)
+        for (a, b), report in zip(pairs, reports):
+            assert report == per_level_conditions(a, b)
 
     def test_symmetry(self):
         rng = random.Random(62)

@@ -117,8 +117,13 @@ class TestStrip:
         for _ in range(40):
             a = random_skew(rng)
             full = pi_nw(a)
+            level0 = nw_labeling(a).profiles
             for t in range(full.length + 1):
                 assert pi_nw(strip_nw_ribbons(a, t)) == Partition(full.parts[t:])
+                stripped = nw_labeling(strip_nw_ribbons(a, t)).profiles
+                shape = [(p.size, p.k, p.arm, p.leg) for p in stripped]
+                assert shape == [(p.size, p.k, p.arm, p.leg) for p in level0[t:]]
+                assert [p.index for p in stripped] == [p.index - t for p in level0[t:]]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
