@@ -160,6 +160,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _character_sum_json(cs: CharacterSum) -> str:
+    """`_json_text(cs.to_json_dict())`, written term by term.
+
+    `json.dumps` falls back to its pure-Python encoder whenever `indent` is
+    set, which made the output of large sums cost as much as their search.
+    """
+    terms = [
+        '    {\n      "partition": '
+        + ("[\n        " + ",\n        ".join(map(str, nu.parts)) + "\n      ]" if nu else "[]")
+        + f',\n      "mult": {mult}\n    }}'
+        for nu, mult in cs.items()
+    ]
+    listed = "[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"
+    return f'{{\n  "weight": {cs.weight},\n  "terms": {listed}\n}}\n'
+
+
 def _character_sum_text(cs: CharacterSum) -> str:
     lines = [f"weight {cs.weight}, {len(cs)} terms"]
     lines.extend(f"  [{format_partition(nu)}]  {mult}" for nu, mult in cs.items())
@@ -184,7 +200,7 @@ def _run_decompose(cmd: Command) -> tuple[int, str]:
             return blocked
         if decompose_skew(rotate180(a)) != cs:
             return EXIT_VERIFY, "verification failed: rotation changed the decomposition"
-    return EXIT_OK, _json_text(cs.to_json_dict()) if cmd.json_out else _character_sum_text(cs)
+    return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
 
 
 def _run_product(cmd: Command) -> tuple[int, str]:
@@ -196,7 +212,7 @@ def _run_product(cmd: Command) -> tuple[int, str]:
             return blocked
         if decompose_skew(embed_disjoint(alpha, beta)) != cs:
             return EXIT_VERIFY, "verification failed: product disagrees with its skew diagram"
-    return EXIT_OK, _json_text(cs.to_json_dict()) if cmd.json_out else _character_sum_text(cs)
+    return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
 
 
 def _run_schubert(cmd: Command) -> tuple[int, str]:
@@ -211,7 +227,7 @@ def _run_schubert(cmd: Command) -> tuple[int, str]:
         expected = {nu: m for nu, m in full.items() if nu[0] <= k and nu.length <= l}
         if expected != dict(cs.items()):
             return EXIT_VERIFY, "verification failed: restricted product disagrees with oracle"
-    return EXIT_OK, _json_text(cs.to_json_dict()) if cmd.json_out else _character_sum_text(cs)
+    return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
 
 
 def _run_ribbons(cmd: Command) -> tuple[int, str]:

@@ -13,6 +13,7 @@ with dozens of boxes.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
+from operator import attrgetter
 
 from .partitions import Partition, contains
 from .skew import Box, SkewDiagram
@@ -75,35 +76,54 @@ def enumerate_lr_fillings(shape: SkewDiagram, content: Partition) -> Iterator[LR
     """
     if shape.size != content.weight:
         raise ValueError("content weight does not match the number of boxes")
-    order = []
+    # per position in that order: the box, the position of the box above it
+    # (-1 if outside the shape) and whether the box to its right, always the
+    # position just before it, is in the shape
+    boxes: list[Box] = []
+    above: list[int] = []
+    right: list[bool] = []
+    prev_start = prev_a = prev_b = 0
     for i in range(1, shape.num_rows + 1):
         a, b = shape.row_span(i)
+        start = len(boxes)
         for j in range(b, a, -1):
-            order.append((i, j, shape.contains_box(i - 1, j), j < b))
-    counts = [0] * content.length
-    entries: dict[Box, int] = {}
-    total = len(order)
-
-    def fill(idx: int) -> Iterator[LRTableau]:
-        if idx == total:
-            yield LRTableau(shape, entries)
-            return
-        i, j, has_above, has_right = order[idx]
-        lo = entries[Box(i - 1, j)] + 1 if has_above else 1
-        hi = entries[Box(i, j + 1)] if has_right else content.length
-        for v in range(lo, hi + 1):
+            above.append(prev_start + prev_b - j if prev_a < j <= prev_b else -1)
+            right.append(j < b)
+            boxes.append(Box(i, j))
+        prev_start, prev_a, prev_b = start, a, b
+    total = len(boxes)
+    if not total:
+        yield LRTableau(shape, {})
+        return
+    caps = content.parts
+    n = len(caps)
+    counts = [0] * n
+    vals = [0] * total
+    # vals[:idx] are placed; v is the next value to try at position idx.
+    # The search keeps its stack in vals, so no shape is too large for it.
+    idx, v = 0, vals[above[0]] + 1 if above[0] >= 0 else 1
+    while True:
+        hi = vals[idx - 1] if right[idx] else n
+        while v <= hi:
             c = counts[v - 1]
-            if c >= content[v - 1]:
+            if c < caps[v - 1] and (v == 1 or counts[v - 2] > c):
+                break
+            v += 1
+        if v <= hi:
+            counts[v - 1] += 1
+            vals[idx] = v
+            if idx + 1 < total:
+                idx += 1
+                v = vals[above[idx]] + 1 if above[idx] >= 0 else 1
                 continue
-            if v > 1 and counts[v - 2] <= c:
-                continue
-            counts[v - 1] = c + 1
-            entries[Box(i, j)] = v
-            yield from fill(idx + 1)
-            counts[v - 1] = c
-            del entries[Box(i, j)]
-
-    yield from fill(0)
+            yield LRTableau(shape, dict(zip(boxes, vals)))
+        else:
+            if not idx:
+                return
+            idx -= 1
+            v = vals[idx]
+        counts[v - 1] -= 1
+        v += 1
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -111,6 +131,9 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     if not contains(mu, lam) or mu.weight + nu.weight != lam.weight:
         return 0
     return sum(1 for _ in enumerate_lr_fillings(SkewDiagram(lam, mu), nu))
+
+
+_parts = attrgetter("parts")
 
 
 class CharacterSum:
@@ -136,10 +159,11 @@ class CharacterSum:
         return self._weight
 
     def items(self) -> list[tuple[Partition, int]]:
-        return [(nu, self._terms[nu]) for nu in sorted(self._terms, reverse=True)]
+        return [(nu, self._terms[nu]) for nu in self.support()]
 
     def support(self) -> list[Partition]:
-        return sorted(self._terms, reverse=True)
+        # the key is the order of Partition.__lt__, without a call per comparison
+        return sorted(self._terms, key=_parts, reverse=True)
 
     def total_multiplicity(self) -> int:
         return sum(self._terms.values())

@@ -155,11 +155,16 @@ def from_frobenius(arms: Iterable[int], legs: Iterable[int]) -> Partition:
 
 _TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
+# Most parts one partition text may hold, checked before any ``b^e`` is
+# expanded, so that input like ``1^100000000`` is refused without allocating.
+MAX_PARTS = 10_000
+
 
 def parse_partition(text: str) -> Partition:
     """Parse comma separated parts with optional exponents, e.g. ``10^2,8,5^3``.
 
     Whitespace is ignored everywhere; an empty string is the empty partition.
+    More than `MAX_PARTS` parts in total is a grammar error.
     """
     compact = "".join(text.split())
     if not compact:
@@ -173,6 +178,8 @@ def parse_partition(text: str) -> Partition:
         exp = int(m.group(2)) if m.group(2) else 1
         if m.group(2) and exp == 0:
             raise GrammarError(f"exponent must be positive in {token!r}")
+        if len(parts) + exp > MAX_PARTS:
+            raise GrammarError(f"a partition may have at most {MAX_PARTS} parts")
         parts.extend([base] * exp)
     return Partition(parts)
 

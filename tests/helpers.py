@@ -85,6 +85,39 @@ def brute_decompose(a: SkewDiagram) -> dict[Partition, int]:
     return out
 
 
+def recursive_lr_fillings(shape: SkewDiagram, content: Partition):
+    """Reference for `enumerate_lr_fillings`: its former one-frame-per-box search.
+
+    Yields each filling as the list of its (box, entry) pairs in the order
+    the boxes were filled, so a test can pin both the fillings and their order.
+    """
+    order = []
+    for i in range(1, shape.num_rows + 1):
+        a, b = shape.row_span(i)
+        order.extend((i, j) for j in range(b, a, -1))
+    counts = [0] * content.length
+    entries: dict[Box, int] = {}
+
+    def fill(idx):
+        if idx == len(order):
+            yield list(entries.items())
+            return
+        i, j = order[idx]
+        lo = entries[Box(i - 1, j)] + 1 if shape.contains_box(i - 1, j) else 1
+        hi = entries[Box(i, j + 1)] if shape.contains_box(i, j + 1) else content.length
+        for v in range(lo, hi + 1):
+            c = counts[v - 1]
+            if c >= content[v - 1] or (v > 1 and counts[v - 2] <= c):
+                continue
+            counts[v - 1] = c + 1
+            entries[Box(i, j)] = v
+            yield from fill(idx + 1)
+            counts[v - 1] = c
+            del entries[Box(i, j)]
+
+    yield from fill(0)
+
+
 def per_level_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:
     """Reference structural test: strip one ribbon per level and relabel.
 

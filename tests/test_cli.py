@@ -1,10 +1,21 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from skewchar import Partition, SkewDiagram, render, render_labels, render_plain
+from skewchar import (
+    CharacterSum,
+    Partition,
+    SkewDiagram,
+    decompose_skew,
+    outer_product,
+    render,
+    render_labels,
+    render_plain,
+    schubert_product,
+)
 from skewchar import cli
 from skewchar.cli import (
     EXIT_INTERNAL,
@@ -20,7 +31,9 @@ from skewchar.cli import (
     run,
 )
 
-from helpers import P, SD
+from skewchar.partitions import MAX_PARTS
+
+from helpers import P, SD, random_partition, random_skew
 
 EXAMPLE_GRID_A = (
     ":::::11111\n"
@@ -104,6 +117,32 @@ class TestRun:
             "weight": 3,
             "terms": [{"partition": [2, 1], "mult": 1}],
         }
+        assert text == (
+            '{\n  "weight": 3,\n  "terms": [\n    {\n      "partition": [\n'
+            '        2,\n        1\n      ],\n      "mult": 1\n    }\n  ]\n}\n'
+        )
+
+    def test_character_sum_json_matches_json_module(self):
+        rng = random.Random(31)
+        sums = [
+            CharacterSum(0, {}),
+            CharacterSum(0, {Partition(): 1}),
+            decompose_skew(SD((2, 1), (2, 1))),
+            schubert_product(P(2), P(2), 1, 1),
+        ]
+        for _ in range(20):
+            sums.append(decompose_skew(random_skew(rng, 6, 6, 12)))
+            alpha, beta = random_partition(rng, 4, 3), random_partition(rng, 4, 3)
+            sums.append(outer_product(alpha, beta))
+            sums.append(schubert_product(alpha, beta, rng.randint(1, 6), rng.randint(1, 6)))
+        assert any(cs.total_multiplicity() > len(cs) for cs in sums)
+        for cs in sums:
+            assert cli._character_sum_json(cs) == json.dumps(cs.to_json_dict(), indent=2) + "\n"
+
+    def test_product_longer_than_recursion_limit(self):
+        code, text = run(parse_args(["product", "1000", "1000"]))
+        assert code == EXIT_OK
+        assert text.startswith("weight 2000, 1001 terms\n  [2000]  1\n")
 
     def test_long_rows(self):
         for text, n in (("1200", 1200), ("1500/300", 1200)):
@@ -241,6 +280,10 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "[2,1]  1" in proc.stdout
+
+    def test_part_count_limit_is_usage_error(self, capsys):
+        assert cli.main(["render", f"1^{MAX_PARTS + 1}"]) == EXIT_USAGE
+        assert f"at most {MAX_PARTS} parts" in capsys.readouterr().err
 
     def test_usage_exit(self):
         proc = subprocess.run(

@@ -20,7 +20,16 @@ from skewchar import (
     translate,
 )
 
-from helpers import P, SD, brute_decompose, is_lr_tableau, random_partition, random_skew, random_subpartition
+from helpers import (
+    P,
+    SD,
+    brute_decompose,
+    is_lr_tableau,
+    random_partition,
+    random_skew,
+    random_subpartition,
+    recursive_lr_fillings,
+)
 
 
 class TestLatticeWord:
@@ -68,6 +77,21 @@ class TestEnumerate:
                     assert key not in seen
                     seen.add(key)
 
+    def test_same_fillings_in_same_order_as_recursive_search(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            a = random_skew(rng, 6, 6, 11)
+            for nu in brute_decompose(a):
+                got = [list(t.entries.items()) for t in enumerate_lr_fillings(a, nu)]
+                assert got == list(recursive_lr_fillings(a, nu))
+
+    def test_shape_longer_than_recursion_limit(self):
+        # 1100 boxes: the search must not take a stack frame per box
+        a = SD((1650, 550), (1100,))
+        (t,) = enumerate_lr_fillings(a, P(1100))
+        assert a.size == 1100 and set(t.entries.values()) == {1}
+        assert is_lr_tableau(t)
+
 
 class TestCoefficient:
     def test_classic(self):
@@ -89,6 +113,9 @@ class TestCharacterSum:
     def test_term_order_is_lex_descending(self):
         cs = CharacterSum(3, {P(1, 1, 1): 1, P(3): 1, P(2, 1): 2})
         assert [nu for nu, _ in cs.items()] == [P(3), P(2, 1), P(1, 1, 1)]
+        cs = CharacterSum(6, {P(2, 2, 1, 1): 1, P(2, 2, 2): 3, P(3, 1, 1, 1): 1, P(6): 2})
+        assert cs.support() == sorted(cs.support(), reverse=True)
+        assert cs.items() == [(P(6), 2), (P(3, 1, 1, 1), 1), (P(2, 2, 2), 3), (P(2, 2, 1, 1), 1)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

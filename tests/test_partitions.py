@@ -20,6 +20,7 @@ from skewchar import (
     principal_hook_lengths,
     subpartitions,
 )
+from skewchar.partitions import MAX_PARTS
 
 from helpers import P
 
@@ -189,6 +190,13 @@ class TestGrammar:
     @given(partitions_st)
     def test_round_trip(self, p):
         assert parse_partition(format_partition(p)) == p
+
+    def test_part_count_limit(self):
+        assert parse_partition(f"1^{MAX_PARTS}").length == MAX_PARTS
+        assert parse_partition(f"2^{MAX_PARTS - 1},1").length == MAX_PARTS
+        for text in (f"1^{MAX_PARTS + 1}", f"2^{MAX_PARTS},1", f"2,1^{MAX_PARTS}"):
+            with pytest.raises(GrammarError, match="at most"):
+                parse_partition(text)
 
     def test_format_uses_exponents(self):
         assert format_partition(P(10, 10, 8, 8, 8, 8, 5, 5)) == "10^2,8^4,5^2"
