@@ -50,7 +50,8 @@ class Command:
     labels: bool = False
     box: tuple[int, int] | None = None
     strip: int = 0
-    max_boxes: int = 30
+    # None for the verbs without --max-boxes, which run no refusable oracle
+    max_boxes: int | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +64,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="skewchar", description="Exact skew character computations")
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
-    def common(sp, *, verify=True, max_boxes=True, strip=False, exhaustive=False, full=False):
+    def common(sp, *, verify=True, max_boxes=True, strip=False, exhaustive=False):
         sp.add_argument("--json", action="store_true", dest="json_out")
         if verify:
             sp.add_argument("--verify", action="store_true")
@@ -73,8 +74,6 @@ def _build_parser() -> _Parser:
             sp.add_argument("--strip", type=int, default=0, metavar="T")
         if exhaustive:
             sp.add_argument("--exhaustive", action="store_true")
-        if full:
-            sp.add_argument("--full", action="store_true")
 
     sp = sub.add_parser("decompose", help="expand a skew character into irreducibles")
     sp.add_argument("diagram")
@@ -111,7 +110,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("eqcheck", help="structural and full equality tests")
     sp.add_argument("a")
     sp.add_argument("b")
-    common(sp, full=True)
+    common(sp, verify=False, max_boxes=False)
+    sp.add_argument("--full", action="store_true")
 
     sp = sub.add_parser("render", help="draw a diagram")
     sp.add_argument("diagram")
@@ -150,6 +150,8 @@ def parse_args(argv: list[str]) -> Command:
     for attr in ("diagram", "a", "b"):
         if hasattr(ns, attr):
             cmd.diagrams.append(_to_skew(getattr(ns, attr)))
+    if cmd.strip:
+        cmd.diagrams[0] = strip_nw_ribbons(cmd.diagrams[0], cmd.strip)
     for attr in ("alpha", "beta"):
         if hasattr(ns, attr):
             cmd.partitions.append(_to_partition(getattr(ns, attr)))
@@ -182,22 +184,10 @@ def _character_sum_text(cs: CharacterSum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _too_large(size: int, cmd: Command) -> tuple[int, str] | None:
-    if size > cmd.max_boxes:
-        return (
-            EXIT_TOO_LARGE,
-            f"refusing oracle run on {size} boxes (limit {cmd.max_boxes}; raise with --max-boxes)",
-        )
-    return None
-
-
 def _run_decompose(cmd: Command) -> tuple[int, str]:
     a = cmd.diagrams[0]
     cs = decompose_skew(a)
     if cmd.verify:
-        blocked = _too_large(a.size, cmd)
-        if blocked:
-            return blocked
         if decompose_skew(rotate180(a)) != cs:
             return EXIT_VERIFY, "verification failed: rotation changed the decomposition"
     return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
@@ -207,9 +197,6 @@ def _run_product(cmd: Command) -> tuple[int, str]:
     alpha, beta = cmd.partitions
     cs = outer_product(alpha, beta)
     if cmd.verify:
-        blocked = _too_large(alpha.weight + beta.weight, cmd)
-        if blocked:
-            return blocked
         if decompose_skew(embed_disjoint(alpha, beta)) != cs:
             return EXIT_VERIFY, "verification failed: product disagrees with its skew diagram"
     return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
@@ -220,9 +207,6 @@ def _run_schubert(cmd: Command) -> tuple[int, str]:
     k, l = cmd.box
     cs = schubert_product(alpha, beta, k, l)
     if cmd.verify:
-        blocked = _too_large(alpha.weight + beta.weight, cmd)
-        if blocked:
-            return blocked
         full = decompose_skew(embed_disjoint(alpha, beta))
         expected = {nu: m for nu, m in full.items() if nu[0] <= k and nu.length <= l}
         if expected != dict(cs.items()):
@@ -232,8 +216,6 @@ def _run_schubert(cmd: Command) -> tuple[int, str]:
 
 def _run_ribbons(cmd: Command) -> tuple[int, str]:
     a = cmd.diagrams[0]
-    if cmd.strip:
-        a = strip_nw_ribbons(a, cmd.strip)
     labeling = nw_labeling(a)
     if cmd.verify:
         for (r, c), v in labeling.labels.items():
@@ -261,13 +243,8 @@ def _run_ribbons(cmd: Command) -> tuple[int, str]:
 
 def _run_maxhook(cmd: Command) -> tuple[int, str]:
     a = cmd.diagrams[0]
-    if cmd.strip:
-        a = strip_nw_ribbons(a, cmd.strip)
     report = max_hl_characters(a)
     if cmd.verify:
-        blocked = _too_large(a.size, cmd)
-        if blocked:
-            return blocked
         oracle = oracle_extremes(a)
         constructed = tuple((w.nu, w.mult) for w in report.witnesses)
         if (
@@ -315,10 +292,6 @@ def _verify_durfee_report(report: DurfeeMaxReport, full: CharacterSum) -> str | 
 
 def _run_durfee(cmd: Command) -> tuple[int, str]:
     a = cmd.diagrams[0]
-    if cmd.exhaustive or cmd.verify:
-        blocked = _too_large(a.size, cmd)
-        if blocked:
-            return blocked
     report = max_durfee_special_skew(a, exhaustive=cmd.exhaustive)
     if cmd.verify:
         problem = _verify_durfee_report(report, decompose_skew(a))
@@ -329,10 +302,6 @@ def _run_durfee(cmd: Command) -> tuple[int, str]:
 
 def _run_durfee_product(cmd: Command) -> tuple[int, str]:
     alpha, beta = cmd.partitions
-    if cmd.exhaustive or cmd.verify:
-        blocked = _too_large(alpha.weight + beta.weight, cmd)
-        if blocked:
-            return blocked
     report = max_durfee_product(alpha, beta, exhaustive=cmd.exhaustive)
     if cmd.verify:
         problem = _verify_durfee_report(report, outer_product(alpha, beta))
@@ -343,7 +312,7 @@ def _run_durfee_product(cmd: Command) -> tuple[int, str]:
 
 def _run_eqcheck(cmd: Command) -> tuple[int, str]:
     a, b = cmd.diagrams
-    report = check_equality(a, b, full=cmd.full or cmd.verify)
+    report = check_equality(a, b, full=cmd.full)
     if not report.passed:
         code = EXIT_STRUCTURAL
     elif report.full is not None and not report.full.equal:
@@ -394,6 +363,14 @@ _HANDLERS = {
 
 
 def run(cmd: Command) -> tuple[int, str]:
+    if cmd.max_boxes is not None and (cmd.verify or cmd.exhaustive):
+        # one diagram, or the two factors of a product
+        size = sum(a.size for a in cmd.diagrams) + sum(p.weight for p in cmd.partitions)
+        if size > cmd.max_boxes:
+            return (
+                EXIT_TOO_LARGE,
+                f"refusing oracle run on {size} boxes (limit {cmd.max_boxes}; raise with --max-boxes)",
+            )
     try:
         return _HANDLERS[cmd.verb](cmd)
     except ValueError as exc:

@@ -69,11 +69,31 @@ def associated_diagram(alpha: Partition, beta: Partition) -> tuple[int, SkewDiag
     return m, SkewDiagram(complement(alpha, m, m), beta)
 
 
-def _witnesses_from_max_hl(diagram: SkewDiagram, m: int) -> tuple[DurfeeWitness, ...]:
-    report = max_hl_characters(diagram)
-    wits = [DurfeeWitness(complement(w.nu, m, m), w.mult) for w in report.witnesses]
-    wits.sort(key=lambda w: w.nu_inverse.parts, reverse=True)
-    return tuple(wits)
+def _durfee_report(
+    m: int, assoc: SkewDiagram, d: int, exhaustive: bool, expand, max_hl=None
+) -> DurfeeMaxReport:
+    """The report for maximal Durfee size d, with its witnesses cross-checked.
+
+    Exhaustive witnesses are every attainer in the full expansion
+    `expand()`.  Otherwise they are the complements in the m x m square of
+    the max-hl constituents of `assoc`; `max_hl` is their report if the
+    caller already has it.
+    """
+    if exhaustive:
+        full = expand()
+        dmax = max(durfee(nu) for nu in full.support())
+        if dmax != d:
+            raise AssertionError(f"oracle Durfee maximum {dmax} disagrees with formula {d}")
+        wits = tuple(DurfeeWitness(nu, mult) for nu, mult in full.items() if durfee(nu) == d)
+    else:
+        max_hl = max_hl or max_hl_characters(assoc)
+        wits = [DurfeeWitness(complement(w.nu, m, m), w.mult) for w in max_hl.witnesses]
+        wits.sort(key=lambda w: w.nu_inverse.parts, reverse=True)
+        wits = tuple(wits)
+        for w in wits:
+            if durfee(w.nu_inverse) != d:
+                raise AssertionError(f"witness {w.nu_inverse} misses Durfee size {d}")
+    return DurfeeMaxReport(m=m, associated=assoc, max_durfee=d, witnesses=wits, exhaustive=exhaustive)
 
 
 def max_durfee_product(
@@ -81,19 +101,9 @@ def max_durfee_product(
 ) -> DurfeeMaxReport:
     """Largest Durfee size among constituents of the product, with witnesses."""
     m, assoc = associated_diagram(alpha, beta)
-    d = m - max_hl_characters(assoc).hl.length
-    if exhaustive:
-        full = outer_product(alpha, beta)
-        dmax = max(durfee(nu) for nu in full.support())
-        if dmax != d:
-            raise AssertionError(f"oracle Durfee maximum {dmax} disagrees with formula {d}")
-        wits = tuple(DurfeeWitness(nu, mult) for nu, mult in full.items() if durfee(nu) == d)
-    else:
-        wits = _witnesses_from_max_hl(assoc, m)
-        for w in wits:
-            if durfee(w.nu_inverse) != d:
-                raise AssertionError(f"witness {w.nu_inverse} misses Durfee size {d}")
-    return DurfeeMaxReport(m=m, associated=assoc, max_durfee=d, witnesses=wits, exhaustive=exhaustive)
+    max_hl = max_hl_characters(assoc)
+    d = m - max_hl.hl.length
+    return _durfee_report(m, assoc, d, exhaustive, lambda: outer_product(alpha, beta), max_hl)
 
 
 def max_durfee_special_skew(a: SkewDiagram, exhaustive: bool = False) -> DurfeeMaxReport:
@@ -122,18 +132,7 @@ def max_durfee_special_skew(a: SkewDiagram, exhaustive: bool = False) -> DurfeeM
     lam_inv = complement(lam, l, l)
     d = l - max(durfee(mu), durfee(lam_inv))
     assoc = embed_disjoint(mu, lam_inv)
-    if exhaustive:
-        full = decompose_skew(a)
-        dmax = max(durfee(nu) for nu in full.support())
-        if dmax != d:
-            raise AssertionError(f"oracle Durfee maximum {dmax} disagrees with formula {d}")
-        wits = tuple(DurfeeWitness(nu, mult) for nu, mult in full.items() if durfee(nu) == d)
-    else:
-        wits = _witnesses_from_max_hl(assoc, l)
-        for w in wits:
-            if durfee(w.nu_inverse) != d:
-                raise AssertionError(f"witness {w.nu_inverse} misses Durfee size {d}")
-    return DurfeeMaxReport(m=l, associated=assoc, max_durfee=d, witnesses=wits, exhaustive=exhaustive)
+    return _durfee_report(l, assoc, d, exhaustive, lambda: decompose_skew(a))
 
 
 def verify_complementation(mu: Partition, lam: Partition, k: int, l: int) -> bool:

@@ -196,7 +196,7 @@ class CharacterSum:
         }
 
 
-def _row_fillings(a, b, prev, prev_a, counts, vmax):
+def _row_fillings(a, b, prev, prev_a, counts):
     """Lattice fillings of one row over columns (a, b] as (entries, counts) pairs.
 
     `prev` holds the previous row's entries starting at column prev_a + 1;
@@ -217,11 +217,12 @@ def _row_fillings(a, b, prev, prev_a, counts, vmax):
     # a zero at its end, and only then.
     i, v = width - 1, lows[-1]
     while True:
-        cap = entries[i + 1] if i + 1 < width else vmax
         n = len(cnt)
+        # entries weakly decrease leftward, so only the rightmost can be a new n + 1
+        cap = entries[i + 1] if i + 1 < width else n + 1
         while 1 < v <= n and v <= cap and cnt[v - 2] <= cnt[v - 1]:
             v += 1
-        if v <= cap and v <= n + 1:
+        if v <= cap:
             if v > n:
                 cnt.append(1)
             else:
@@ -246,29 +247,22 @@ def _row_fillings(a, b, prev, prev_a, counts, vmax):
 def decompose_skew(diagram: SkewDiagram) -> CharacterSum:
     """Expand a skew character into irreducibles with exact multiplicities."""
     spans = [diagram.row_span(i) for i in range(1, diagram.num_rows + 1)]
-    # state: (previous row entries kept for the next row, their left offset,
-    # running content counts) -> number of partial fillings reaching it
-    states: dict[tuple, int] = {((), 0, ()): 1}
-    rank = 0
+    # state: (previous row entries kept for the next row, running content
+    # counts) -> number of partial fillings reaching it.  The kept entries
+    # start at column prev_a + 1, the same for every state of a row.
+    states: dict[tuple, int] = {((), ()): 1}
+    prev_a = 0
     for idx, (a, b) in enumerate(spans):
         next_b = spans[idx + 1][1] if idx + 1 < len(spans) else 0
-        if a == b:
-            merged: dict[tuple, int] = {}
-            for (_, _, counts), mult in states.items():
-                key = ((), 0, counts)
-                merged[key] = merged.get(key, 0) + mult
-            states = merged
-            continue
-        rank += 1
         keep = max(0, min(b, next_b) - a)
         new_states: dict[tuple, int] = {}
-        for (prev, prev_a, counts), mult in states.items():
-            for row_entries, new_counts in _row_fillings(a, b, prev, prev_a, counts, rank):
-                key = (row_entries[:keep], a, new_counts)
+        for (prev, counts), mult in states.items():
+            for row_entries, new_counts in _row_fillings(a, b, prev, prev_a, counts):
+                key = (row_entries[:keep], new_counts)
                 new_states[key] = new_states.get(key, 0) + mult
-        states = new_states
+        states, prev_a = new_states, a
     terms: dict[Partition, int] = {}
-    for (_, _, counts), mult in states.items():
+    for (_, counts), mult in states.items():
         nu = Partition(counts)
         terms[nu] = terms.get(nu, 0) + mult
     return CharacterSum(diagram.size, terms)

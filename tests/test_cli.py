@@ -102,6 +102,18 @@ class TestParse:
             parse_args(["decompose", "2,1", "--strip", "1"])
         assert parse_args(["decompose", "2,1"]).verb == "decompose"
 
+    def test_bad_strip_is_domain_error(self):
+        with pytest.raises(ValueError) as err:
+            parse_args(["maxhook", "8^2,7,4,3^2/4,3,2", "--strip", "4"])
+        assert not isinstance(err.value, UsageError)
+        assert "cannot strip 4 ribbons from 3 layers" in str(err.value)
+
+    def test_eqcheck_has_no_oracle_flags(self):
+        for flags in (["--verify"], ["--max-boxes", "5"]):
+            with pytest.raises(UsageError):
+                parse_args(["eqcheck", "2,1", "2,1", *flags])
+            assert cli.main(["eqcheck", "2,1", "2,1", *flags]) == EXIT_USAGE
+
     def test_domain_error_is_not_usage(self):
         with pytest.raises(ValueError) as err:
             parse_args(["decompose", "2,2 / 3"])
@@ -181,6 +193,44 @@ class TestRun:
             parse_args(["maxhook", "10^2,8^4,5^2 / 5^4", "--verify", "--max-boxes", "50"])
         )
         assert code == EXIT_OK
+        # 25 boxes are left after the first ribbon is stripped
+        argv = ["maxhook", "10^2,8^4,5^2 / 5^4", "--strip", "1", "--verify", "--max-boxes", "25"]
+        assert run(parse_args(argv))[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["decompose", "13,12,11,10,9,8,7,6,5,4,3,2,1/6,5,4,3,2,1", "--verify"], 70),
+            (["product", "6,5,4,3,2,1", "5,4,3,2,1", "--verify"], 36),
+            (["schubert", "6,5,4,3,2,1", "5,4,3,2,1", "--box", "4,4", "--verify"], 36),
+            (["maxhook", "10^2,8^4,5^2 / 5^4", "--verify"], 42),
+            (["durfee", "7^7/3,3", "--verify"], 43),
+            (["durfee", "6^6/3,3", "--exhaustive", "--max-boxes", "29"], 30),
+            (["durfee-product", "6,5,4,3,2,1", "5,4,3,2,1", "--verify"], 36),
+            (["durfee-product", "6,5,4,3,2,1", "5,4,3,2,1", "--exhaustive"], 36),
+            # the guard counts the boxes left after --strip
+            (["maxhook", "10^2,8^4,5^2 / 5^4", "--strip", "1", "--verify", "--max-boxes", "24"], 25),
+        ],
+    )
+    def test_oracle_refused_before_any_work(self, monkeypatch, argv, size):
+        def engine(*args, **kwargs):
+            raise AssertionError("the refused run computed something")
+
+        for name in (
+            "decompose_skew",
+            "outer_product",
+            "schubert_product",
+            "max_hl_characters",
+            "oracle_extremes",
+            "max_durfee_special_skew",
+            "max_durfee_product",
+        ):
+            monkeypatch.setattr(cli, name, engine)
+        cmd = parse_args(argv)
+        assert run(cmd) == (
+            EXIT_TOO_LARGE,
+            f"refusing oracle run on {size} boxes (limit {cmd.max_boxes}; raise with --max-boxes)",
+        )
 
     def test_verify_mismatch_exit(self, monkeypatch):
         from skewchar import extremal

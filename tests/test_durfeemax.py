@@ -12,6 +12,7 @@ from skewchar import (
     max_durfee_product,
     max_durfee_special_skew,
     min_durfee,
+    nw_labeling,
     outer_product,
     verify_complementation,
 )
@@ -91,6 +92,19 @@ class TestMaxDurfeeProduct:
             for w in report.witnesses:
                 assert full[w.nu_inverse] == w.mult
             assert min_durfee(embed_disjoint(a, b)) <= report.max_durfee
+
+    def test_labels_associated_diagram_once(self, monkeypatch):
+        from skewchar import extremal
+
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return nw_labeling(a)
+
+        monkeypatch.setattr(extremal, "nw_labeling", counting)
+        report = max_durfee_product(P(5, 5, 3, 3, 2), P(4, 3, 1, 1))
+        assert calls == [report.associated]
 
     def test_exhaustive_lists_every_attainer(self):
         report = max_durfee_product(P(2, 1), P(2, 1), exhaustive=True)

@@ -6,6 +6,7 @@ from skewchar import (
     CharacterSum,
     Partition,
     SkewDiagram,
+    components,
     decompose_skew,
     embed_disjoint,
     enumerate_lr_fillings,
@@ -158,6 +159,13 @@ class TestDecompose:
     def test_empty_diagram(self):
         cs = decompose_skew(SD((), ()))
         assert cs.weight == 0 and dict(cs.items()) == {Partition(): 1}
+
+    def test_empty_middle_row(self):
+        # the empty second row splits each diagram into two pieces
+        for a in (SD((6, 5, 3, 3, 2), (5, 5, 1)), SD((4, 2, 2, 1), (2, 2))):
+            assert a.row_span(2)[0] == a.row_span(2)[1]
+            assert len(components(a)) == 2
+            assert dict(decompose_skew(a).items()) == brute_decompose(a)
 
     def test_matches_per_candidate_enumeration(self):
         rng = random.Random(22)
