@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .lr import decompose_skew
 from .partitions import Partition
 from .ribbons import nw_labeling
-from .skew import SkewDiagram, normalize
+from .skew import SkewDiagram, normalize, rotate180
 
 CONDITIONS = ("pi_nw", "ribbon_count", "arm_leg")
 
@@ -115,12 +115,13 @@ def full_equality(a: SkewDiagram, b: SkewDiagram) -> tuple[bool, Discrepancy | N
     """Definitive equality test by full decomposition (exponential).
 
     Returns the lexicographically largest partition whose multiplicities
-    differ, when there is one.
+    differ, when there is one.  Translates and half-turns of one diagram
+    have the same character, so they are answered without an expansion.
     """
-    da = decompose_skew(normalize(a))
-    db = decompose_skew(normalize(b))
-    if da == db:
+    na, nb = normalize(a), normalize(b)
+    if na == nb or na == rotate180(b):
         return True, None
+    da, db = decompose_skew(na), decompose_skew(nb)
     for nu in sorted(set(da.support()) | set(db.support()), reverse=True):
         if da[nu] != db[nu]:
             return False, Discrepancy(nu, da[nu], db[nu])

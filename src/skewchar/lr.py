@@ -4,16 +4,16 @@
 in reverse-row-word order and serves as the ground-truth oracle of the
 whole library.  `decompose_skew` runs the same lattice-filling search row
 by row but merges partial fillings that agree on everything later rows can
-see (the previous row's entries over the shared columns and the running
-content counts).  The merge keeps multiplicities exact while collapsing
-the search tree, so whole-diagram expansions stay cheap even for shapes
-with dozens of boxes.
+see: the previous row's entries over the shared columns, which group the
+states, and the running content counts.  The merge keeps multiplicities
+exact while collapsing the search tree.  The final counts are partitions
+by construction, so its terms skip the constructors' validation.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterator, Mapping, Sequence
-from operator import attrgetter
 
 from .partitions import Partition, contains
 from .skew import Box, SkewDiagram
@@ -133,9 +133,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return sum(1 for _ in enumerate_lr_fillings(SkewDiagram(lam, mu), nu))
 
 
-_parts = attrgetter("parts")
-
-
 class CharacterSum:
     """Decomposition into irreducibles: partitions of one weight with multiplicities.
 
@@ -158,12 +155,19 @@ class CharacterSum:
     def weight(self) -> int:
         return self._weight
 
+    @classmethod
+    def _trusted(cls, weight: int, terms: dict[Partition, int]) -> "CharacterSum":
+        """Adopt terms the caller built valid: right weight, positive multiplicities."""
+        cs = object.__new__(cls)
+        cs._weight, cs._terms = weight, terms
+        return cs
+
     def items(self) -> list[tuple[Partition, int]]:
-        return [(nu, self._terms[nu]) for nu in self.support()]
+        # the key is the order of Partition.__lt__, without a call per comparison
+        return sorted(self._terms.items(), key=lambda term: term[0].parts, reverse=True)
 
     def support(self) -> list[Partition]:
-        # the key is the order of Partition.__lt__, without a call per comparison
-        return sorted(self._terms, key=_parts, reverse=True)
+        return [nu for nu, _ in self.items()]
 
     def total_multiplicity(self) -> int:
         return sum(self._terms.values())
@@ -196,76 +200,64 @@ class CharacterSum:
         }
 
 
-def _row_fillings(a, b, prev, prev_a, counts):
-    """Lattice fillings of one row over columns (a, b] as (entries, counts) pairs.
-
-    `prev` holds the previous row's entries starting at column prev_a + 1;
-    columns outside it carry no constraint.  Entries are produced right to
-    left, which is the reverse-row-word order the lattice counts live in.
-    The depth-first search keeps its stack in `entries` itself, so a row
-    of any length needs no recursion; values are tried in ascending order.
-    """
-    width = b - a
-    if not width:
-        return [((), tuple(counts))]
-    lows = [prev[k] + 1 if 0 <= k < len(prev) else 1 for k in range(a - prev_a, b - prev_a)]
-    entries = [0] * width
-    cnt = list(counts)
-    out = []
-    # entries[i + 1:] are placed; v is the next value to try at position i.
-    # Every count is positive, so undoing a placement that grew cnt leaves
-    # a zero at its end, and only then.
-    i, v = width - 1, lows[-1]
-    while True:
-        n = len(cnt)
-        # entries weakly decrease leftward, so only the rightmost can be a new n + 1
-        cap = entries[i + 1] if i + 1 < width else n + 1
-        while 1 < v <= n and v <= cap and cnt[v - 2] <= cnt[v - 1]:
-            v += 1
-        if v <= cap:
-            if v > n:
-                cnt.append(1)
-            else:
-                cnt[v - 1] += 1
-            entries[i] = v
-            if i:
-                i -= 1
-                v = lows[i]
-                continue
-            out.append((tuple(entries), tuple(cnt)))
-        else:
-            i += 1
-            if i == width:
-                return out
-            v = entries[i]
-        cnt[v - 1] -= 1
-        if not cnt[v - 1]:
-            cnt.pop()
-        v += 1
-
-
 def decompose_skew(diagram: SkewDiagram) -> CharacterSum:
     """Expand a skew character into irreducibles with exact multiplicities."""
-    spans = [diagram.row_span(i) for i in range(1, diagram.num_rows + 1)]
-    # state: (previous row entries kept for the next row, running content
-    # counts) -> number of partial fillings reaching it.  The kept entries
-    # start at column prev_a + 1, the same for every state of a row.
-    states: dict[tuple, int] = {((), ()): 1}
+    # an empty row changes no counts, and the rows around it share no column
+    spans = [(a, b) for a, b in map(diagram.row_span, range(1, diagram.num_rows + 1)) if a < b]
+    # previous row entries kept for the next row, from column prev_a + 1
+    # -> running content counts -> number of partial fillings reaching them
+    groups: dict[tuple, dict[tuple, int]] = {(): {(): 1}}
     prev_a = 0
     for idx, (a, b) in enumerate(spans):
         next_b = spans[idx + 1][1] if idx + 1 < len(spans) else 0
         keep = max(0, min(b, next_b) - a)
-        new_states: dict[tuple, int] = {}
-        for (prev, counts), mult in states.items():
-            for row_entries, new_counts in _row_fillings(a, b, prev, prev_a, counts):
-                key = (row_entries[:keep], new_counts)
-                new_states[key] = new_states.get(key, 0) + mult
-        states, prev_a = new_states, a
-    terms: dict[Partition, int] = {}
-    for (_, counts), mult in states.items():
-        nu = Partition(counts)
-        terms[nu] = terms.get(nu, 0) + mult
-    return CharacterSum(diagram.size, terms)
+        width = b - a
+        new_groups: defaultdict[tuple, dict[tuple, int]] = defaultdict(dict)
+        # entries[i + 1:] are placed; v is the next value to try at position
+        # i.  Entries run right to left, the order the counts live in, and
+        # weakly decrease leftward: entries[i + 1] caps position i, and the
+        # sentinel entries[width] lets only the rightmost be a new n + 1.
+        # Counts are positive, so only undoing a new value leaves a zero, at the end.
+        entries = [0] * (width + 1)
+        cols = range(a - prev_a, b - prev_a)  # this row's columns, indexed into prev
+        for prev, group in groups.items():
+            lows = [prev[k] + 1 if 0 <= k < len(prev) else 1 for k in cols]
+            for counts, mult in group.items():
+                cnt = list(counts)
+                entries[width] = len(cnt) + 1
+                i, v = width - 1, lows[-1]
+                while True:
+                    n = len(cnt)
+                    cap = entries[i + 1]
+                    while 1 < v <= n and v <= cap and cnt[v - 2] <= cnt[v - 1]:
+                        v += 1
+                    if v <= cap:
+                        if v > n:
+                            cnt.append(1)
+                        else:
+                            cnt[v - 1] += 1
+                        entries[i] = v
+                        if i:
+                            i -= 1
+                            v = lows[i]
+                            continue
+                        target = new_groups[tuple(entries[:keep])]
+                        key = tuple(cnt)
+                        target[key] = target.get(key, 0) + mult
+                    else:
+                        i += 1
+                        if i == width:
+                            break
+                        v = entries[i]
+                    cnt[v - 1] -= 1
+                    if not cnt[v - 1]:
+                        cnt.pop()
+                    v += 1
+        groups, prev_a = new_groups, a
+    # the last row keeps nothing, so at most one group is left.  Its counts
+    # are partitions: lattice counts are positive and weakly decreasing.
+    terms = {Partition._trusted(counts): mult for counts, mult in groups.get((), {}).items()}
+    return CharacterSum._trusted(diagram.size, terms)
 
 
 def _shapes_containing(base: Partition, added: int, max_first: int, max_len: int):

@@ -34,6 +34,13 @@ class Partition:
                 raise ValueError(f"partition parts must be weakly decreasing, got {ps}")
         self._parts = tuple(ps)
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Adopt a tuple the caller knows to be positive and weakly decreasing."""
+        p = object.__new__(cls)
+        p._parts = parts
+        return p
+
     @property
     def parts(self) -> tuple[int, ...]:
         return self._parts

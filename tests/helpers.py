@@ -6,6 +6,7 @@ import random
 
 from skewchar import (
     Box,
+    CharacterSum,
     EqualityReport,
     LevelRecord,
     LRTableau,
@@ -83,6 +84,73 @@ def brute_decompose(a: SkewDiagram) -> dict[Partition, int]:
         if count:
             out[nu] = count
     return out
+
+
+def _row_fillings(a, b, prev, prev_a, counts):
+    """Lattice fillings of one row over columns (a, b] as (entries, counts) pairs.
+
+    `prev` holds the previous row's entries starting at column prev_a + 1;
+    columns outside it carry no constraint.  Entries are produced right to
+    left, smallest value first, on an explicit stack.
+    """
+    width = b - a
+    if not width:
+        return [((), tuple(counts))]
+    lows = [prev[k] + 1 if 0 <= k < len(prev) else 1 for k in range(a - prev_a, b - prev_a)]
+    entries = [0] * width
+    cnt = list(counts)
+    out = []
+    i, v = width - 1, lows[-1]
+    while True:
+        n = len(cnt)
+        cap = entries[i + 1] if i + 1 < width else n + 1
+        while 1 < v <= n and v <= cap and cnt[v - 2] <= cnt[v - 1]:
+            v += 1
+        if v <= cap:
+            if v > n:
+                cnt.append(1)
+            else:
+                cnt[v - 1] += 1
+            entries[i] = v
+            if i:
+                i -= 1
+                v = lows[i]
+                continue
+            out.append((tuple(entries), tuple(cnt)))
+        else:
+            i += 1
+            if i == width:
+                return out
+            v = entries[i]
+        cnt[v - 1] -= 1
+        if not cnt[v - 1]:
+            cnt.pop()
+        v += 1
+
+
+def row_by_row_decompose(a: SkewDiagram) -> CharacterSum:
+    """Reference for `decompose_skew`: its former one-call-per-state row search.
+
+    States are (kept entries, counts) pairs, each row's fillings are listed
+    per state, and the answer goes through the validating constructors.
+    """
+    spans = [a.row_span(i) for i in range(1, a.num_rows + 1)]
+    states: dict[tuple, int] = {((), ()): 1}
+    prev_a = 0
+    for idx, (lo, hi) in enumerate(spans):
+        next_hi = spans[idx + 1][1] if idx + 1 < len(spans) else 0
+        keep = max(0, min(hi, next_hi) - lo)
+        new_states: dict[tuple, int] = {}
+        for (prev, counts), mult in states.items():
+            for row_entries, new_counts in _row_fillings(lo, hi, prev, prev_a, counts):
+                key = (row_entries[:keep], new_counts)
+                new_states[key] = new_states.get(key, 0) + mult
+        states, prev_a = new_states, lo
+    terms: dict[Partition, int] = {}
+    for (_, counts), mult in states.items():
+        nu = Partition(counts)
+        terms[nu] = terms.get(nu, 0) + mult
+    return CharacterSum(a.size, terms)
 
 
 def recursive_lr_fillings(shape: SkewDiagram, content: Partition):

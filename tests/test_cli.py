@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewchar import (
     CharacterSum,
@@ -16,7 +20,7 @@ from skewchar import (
     render_plain,
     schubert_product,
 )
-from skewchar import cli
+from skewchar import cli, equality
 from skewchar.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -31,7 +35,7 @@ from skewchar.cli import (
     run,
 )
 
-from skewchar.partitions import MAX_PARTS
+from skewchar.partitions import MAX_PARTS, format_partition, parse_partition
 
 from helpers import P, SD, random_partition, random_skew
 
@@ -296,6 +300,21 @@ class TestRun:
         code, text = run(parse_args(["eqcheck", "2,1", "2,1", "--full"]))
         assert code == EXIT_OK and "full: equal" in text
 
+    def test_eqcheck_full_on_copies_needs_no_expansion(self, monkeypatch):
+        def no_expansion(_):
+            raise AssertionError("full expansion of a copy")
+
+        monkeypatch.setattr(equality, "decompose_skew", no_expansion)
+        a = "13,12,11,10,9,8,7,6,5,4,3,2,1/6,5,4,3,2,1"
+        b = "14^2,13,12,11,10,9,8,7,6,5,4,3,2/14,7,6,5,4,3,2,1^7"  # a, moved down and right
+        code, structural = run(parse_args(["eqcheck", a, b]))
+        assert code == EXIT_OK
+        code, text = run(parse_args(["eqcheck", a, b, "--full"]))
+        assert (code, text) == (EXIT_OK, structural + "full: equal\n")
+        code, text = run(parse_args(["eqcheck", a, a, "--full", "--json"]))
+        assert code == EXIT_OK
+        assert json.loads(text)["full_check"] == {"equal": True, "first_discrepancy": None}
+
     def test_render_modes(self):
         code, text = run(parse_args(["render", "3,1/1"]))
         assert (code, text) == (EXIT_OK, ":##\n#\n")
@@ -361,3 +380,75 @@ class TestMainEntry:
         )
         assert proc.returncode == EXIT_PRECONDITION
         assert "inner not contained in outer" in proc.stderr
+
+
+@st.composite
+def _partition_text(draw, max_weight=12, within=None):
+    """Partition text of at most max_weight boxes, mostly valid, sometimes not.
+
+    With `within`, parts are drawn under the given parts, so the result
+    usually fits inside that partition.
+    """
+    parts, total = [], 0
+    for i in range(draw(st.integers(0, 5))):
+        cap = min(6, within[i] if within is not None and i < len(within) else 6)
+        p = draw(st.integers(0, cap))
+        if total + p > max_weight:
+            break
+        parts.append(p)
+        total += p
+    if draw(st.integers(0, 9)):
+        parts.sort(reverse=True)
+        if parts and draw(st.booleans()):
+            return format_partition(Partition(parts))
+    return ",".join(map(str, parts))
+
+
+@st.composite
+def _skew_text(draw):
+    outer = draw(_partition_text())
+    if not draw(st.booleans()):
+        return outer
+    try:
+        within = list(parse_partition(outer))
+    except ValueError:
+        within = None
+    return f"{outer}/{draw(_partition_text(within=within))}"
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    if verb in ("product", "schubert", "durfee-product"):
+        argv = [verb, draw(_partition_text(max_weight=6)), draw(_partition_text(max_weight=6))]
+    elif verb == "eqcheck":
+        argv = [verb, draw(_skew_text()), draw(_skew_text())]
+    else:
+        argv = [verb, draw(_skew_text())]
+    if verb == "render":
+        return argv + (["--labels"] if draw(st.booleans()) else [])
+    if verb == "schubert":
+        argv += ["--box", f"{draw(st.integers(1, 5))},{draw(st.integers(1, 5))}"]
+    flags = {
+        "--json": True,
+        "--verify": verb != "eqcheck",
+        "--full": verb == "eqcheck",
+        "--exhaustive": verb in ("durfee", "durfee-product"),
+    }
+    argv += [flag for flag, ok in flags.items() if ok and draw(st.booleans())]
+    if verb in ("ribbons", "maxhook") and draw(st.booleans()):
+        argv += ["--strip", str(draw(st.integers(0, 4)))]
+    if verb not in ("ribbons", "eqcheck") and draw(st.booleans()):
+        argv += ["--max-boxes", str(draw(st.integers(0, 20)))]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(_argv())
+    def test_grammar_valid_argv_exits_with_documented_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in range(8)
+        assert "Traceback" not in err.getvalue()

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from skewchar import (
     check_equality,
     equality,
@@ -102,6 +104,24 @@ class TestFullEquality:
             a = random_skew(rng)
             assert full_equality(a, rotate180(a)) == (True, None)
             assert full_equality(a, translate(a, 1, 2)) == (True, None)
+
+    def test_copies_need_no_expansion(self, monkeypatch):
+        def no_expansion(_):
+            raise AssertionError("full expansion of a copy")
+
+        monkeypatch.setattr(equality, "decompose_skew", no_expansion)
+        staircase = parse_skew("13,12,11,10,9,8,7,6,5,4,3,2,1 / 6,5,4,3,2,1")
+        rng = random.Random(65)
+        cases = [staircase, SD((), ()), SD((3, 1), (3, 1))] + [random_skew(rng) for _ in range(15)]
+        for a in cases:
+            assert full_equality(a, a) == (True, None)
+            assert full_equality(a, translate(a, 2, 1)) == (True, None)
+            assert full_equality(translate(a, 1, 0), rotate180(a)) == (True, None)
+        # any other pair is still expanded
+        with pytest.raises(AssertionError):
+            full_equality(PAIR_A, PAIR_B)
+        with pytest.raises(AssertionError):
+            full_equality(SD((3, 1)), SD((2, 1, 1)))
 
     def test_worked_pair_unequal_with_discrepancy(self):
         equal, disc = full_equality(PAIR_A, PAIR_B)

@@ -30,6 +30,7 @@ from helpers import (
     random_skew,
     random_subpartition,
     recursive_lr_fillings,
+    row_by_row_decompose,
 )
 
 
@@ -119,10 +120,13 @@ class TestCharacterSum:
         assert cs.items() == [(P(6), 2), (P(3, 1, 1, 1), 1), (P(2, 2, 2), 3), (P(2, 2, 1, 1), 1)]
 
     def test_validation(self):
+        # the public constructor validates; only decompose_skew skips it
         with pytest.raises(ValueError):
             CharacterSum(3, {P(2): 1})
         with pytest.raises(ValueError):
             CharacterSum(3, {P(2, 1): 0})
+        with pytest.raises(ValueError):
+            CharacterSum(3, {P(2, 1): 1.0})
 
     def test_json_shape(self):
         cs = CharacterSum(3, {P(2, 1): 2, P(3): 1})
@@ -172,6 +176,41 @@ class TestDecompose:
         for _ in range(60):
             a = random_skew(rng, 6, 6, 10)
             assert dict(decompose_skew(a).items()) == brute_decompose(a)
+
+    def test_matches_row_by_row_reference(self):
+        # terms, multiplicities and items() order of the former per-state search
+        def has_empty_middle_row(a):
+            return any(lo == hi for lo, hi in map(a.row_span, range(2, a.num_rows)))
+
+        rng = random.Random(25)
+        cases = [random_skew(rng, 9, 9, 30) for _ in range(80)]
+        cases += [random_skew(rng, 4, 12, 18) for _ in range(20)]
+        split = (random_skew(rng, 8, 6, 22) for _ in range(400))
+        cases += [a for a in split if has_empty_middle_row(a)]
+        cases += [
+            SD((), ()),
+            SD((6, 5, 3, 3, 2), (5, 5, 1)),
+            SD((4, 2, 2, 1), (2, 2)),
+            SD((3, 3, 1, 1), (3, 1, 1, 1)),  # empty first and last rows
+            parse_skew("1200"),
+            parse_skew("1500/300"),
+            parse_skew("7,6,5,4,3,2,1/4,3,2,1"),
+        ]
+        assert sum(map(has_empty_middle_row, cases)) >= 10
+        for a in cases:
+            cs, ref = decompose_skew(a), row_by_row_decompose(a)
+            assert cs.weight == ref.weight == a.size
+            assert cs.items() == ref.items()
+            assert cs.support() == ref.support() and cs == ref
+
+    def test_trusted_terms_equal_validated_ones(self):
+        rng = random.Random(26)
+        for a in [random_skew(rng, 7, 7, 16) for _ in range(40)] + [SD((), ())]:
+            cs = decompose_skew(a)
+            for nu, mult in cs.items():
+                assert Partition(nu.parts) == nu and hash(Partition(nu.parts)) == hash(nu)
+                assert isinstance(mult, int) and mult >= 1
+            assert CharacterSum(cs.weight, dict(cs.items())) == cs
 
     def test_weight_conservation(self):
         rng = random.Random(23)

@@ -44,6 +44,8 @@ class TestPartitionType:
             Partition([3, 0, 2])
         with pytest.raises(ValueError):
             Partition([3, -1])
+        with pytest.raises(ValueError):
+            Partition([2.0])
 
     def test_weight_and_length(self):
         p = P(5, 3, 3, 2, 1, 1)
