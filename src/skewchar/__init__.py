@@ -26,18 +26,18 @@ from .equality import (
 from .extremal import (
     MaxHookReport,
     MaxHookWitness,
-    OracleExtremes,
     gamma_partition,
     hl_of_skew,
     max_hl_characters,
     min_durfee,
-    oracle_extremes,
     pi_max,
     pi_min,
 )
 from .lr import (
     CharacterSum,
     LRTableau,
+    TooManyFillings,
+    brute_decompose,
     decompose_skew,
     enumerate_lr_fillings,
     is_lattice_word,

@@ -3,8 +3,9 @@
 Exit codes: 0 success (or equality not excluded), 1 usage error,
 2 domain precondition failure, 3 definitively unequal (eqcheck),
 4 structural failure (eqcheck), 5 verification mismatch, 6 oracle run
-refused because the instance exceeds --max-boxes, 7 internal error (an
-invariant of the computation failed; a bug, never an input problem).
+refused because the instance exceeds --max-boxes or the oracle counts more
+than ORACLE_MAX_FILLINGS LR fillings, 7 internal error (an invariant of the
+computation failed; a bug, never an input problem).
 """
 
 from __future__ import annotations
@@ -17,12 +18,26 @@ from dataclasses import dataclass, field
 
 from .durfeemax import DurfeeMaxReport, max_durfee_product, max_durfee_special_skew
 from .equality import check_equality
-from .extremal import max_hl_characters, oracle_extremes
-from .lr import CharacterSum, decompose_skew, outer_product, schubert_product
-from .partitions import GrammarError, Partition, durfee, format_partition, parse_partition
+from .extremal import max_hl_characters
+from .lr import (
+    CharacterSum,
+    TooManyFillings,
+    brute_decompose,
+    decompose_skew,
+    outer_product,
+    schubert_product,
+)
+from .partitions import (
+    GrammarError,
+    Partition,
+    durfee,
+    format_partition,
+    parse_partition,
+    principal_hook_lengths,
+)
 from .render import render
 from .ribbons import nw_labeling, strip_nw_ribbons
-from .skew import SkewDiagram, embed_disjoint, parse_skew, rotate180
+from .skew import SkewDiagram, embed_disjoint, parse_skew
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,6 +47,10 @@ EXIT_STRUCTURAL = 4
 EXIT_VERIFY = 5
 EXIT_TOO_LARGE = 6
 EXIT_INTERNAL = 7
+
+# --verify refuses once the oracle counts more LR fillings than this;
+# --max-boxes does not bound their number
+ORACLE_MAX_FILLINGS = 500_000
 
 
 class UsageError(Exception):
@@ -119,16 +138,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _to_skew(text: str) -> SkewDiagram:
+def _parsed(parse, text: str):
     try:
-        return parse_skew(text)
-    except GrammarError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _to_partition(text: str) -> Partition:
-    try:
-        return parse_partition(text)
+        return parse(text)
     except GrammarError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -149,12 +161,12 @@ def parse_args(argv: list[str]) -> Command:
         cmd.box = (k, l)
     for attr in ("diagram", "a", "b"):
         if hasattr(ns, attr):
-            cmd.diagrams.append(_to_skew(getattr(ns, attr)))
+            cmd.diagrams.append(_parsed(parse_skew, getattr(ns, attr)))
     if cmd.strip:
         cmd.diagrams[0] = strip_nw_ribbons(cmd.diagrams[0], cmd.strip)
     for attr in ("alpha", "beta"):
         if hasattr(ns, attr):
-            cmd.partitions.append(_to_partition(getattr(ns, attr)))
+            cmd.partitions.append(_parsed(parse_partition, getattr(ns, attr)))
     return cmd
 
 
@@ -184,34 +196,34 @@ def _character_sum_text(cs: CharacterSum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_decompose(cmd: Command) -> tuple[int, str]:
-    a = cmd.diagrams[0]
-    cs = decompose_skew(a)
+def _oracle(cmd: Command) -> CharacterSum:
+    """The independent full expansion that every --verify compares against."""
+    a = cmd.diagrams[0] if cmd.diagrams else embed_disjoint(*cmd.partitions)
+    return brute_decompose(a, ORACLE_MAX_FILLINGS)
+
+
+def _character_sum_result(cmd: Command, cs: CharacterSum) -> tuple[int, str]:
     if cmd.verify:
-        if decompose_skew(rotate180(a)) != cs:
-            return EXIT_VERIFY, "verification failed: rotation changed the decomposition"
+        expected = _oracle(cmd)
+        if cmd.box:
+            k, l = cmd.box
+            kept = {nu: m for nu, m in expected.items() if nu[0] <= k and nu.length <= l}
+            expected = CharacterSum(expected.weight, kept)
+        if expected != cs:
+            return EXIT_VERIFY, f"verification failed: {cmd.verb} disagrees with oracle"
     return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
+
+
+def _run_decompose(cmd: Command) -> tuple[int, str]:
+    return _character_sum_result(cmd, decompose_skew(cmd.diagrams[0]))
 
 
 def _run_product(cmd: Command) -> tuple[int, str]:
-    alpha, beta = cmd.partitions
-    cs = outer_product(alpha, beta)
-    if cmd.verify:
-        if decompose_skew(embed_disjoint(alpha, beta)) != cs:
-            return EXIT_VERIFY, "verification failed: product disagrees with its skew diagram"
-    return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
+    return _character_sum_result(cmd, outer_product(*cmd.partitions))
 
 
 def _run_schubert(cmd: Command) -> tuple[int, str]:
-    alpha, beta = cmd.partitions
-    k, l = cmd.box
-    cs = schubert_product(alpha, beta, k, l)
-    if cmd.verify:
-        full = decompose_skew(embed_disjoint(alpha, beta))
-        expected = {nu: m for nu, m in full.items() if nu[0] <= k and nu.length <= l}
-        if expected != dict(cs.items()):
-            return EXIT_VERIFY, "verification failed: restricted product disagrees with oracle"
-    return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
+    return _character_sum_result(cmd, schubert_product(*cmd.partitions, *cmd.box))
 
 
 def _run_ribbons(cmd: Command) -> tuple[int, str]:
@@ -242,15 +254,15 @@ def _run_ribbons(cmd: Command) -> tuple[int, str]:
 
 
 def _run_maxhook(cmd: Command) -> tuple[int, str]:
-    a = cmd.diagrams[0]
-    report = max_hl_characters(a)
+    report = max_hl_characters(cmd.diagrams[0])
     if cmd.verify:
-        oracle = oracle_extremes(a)
-        constructed = tuple((w.nu, w.mult) for w in report.witnesses)
+        terms = _oracle(cmd).items()
+        hl = max(principal_hook_lengths(nu) for nu, _ in terms)
         if (
-            oracle.hl != report.hl
-            or oracle.max_hl_terms != constructed
-            or oracle.min_durfee != report.min_durfee
+            hl != report.hl
+            or [(nu, m) for nu, m in terms if principal_hook_lengths(nu) == hl]
+            != [(w.nu, w.mult) for w in report.witnesses]
+            or min(durfee(nu) for nu, _ in terms) != report.min_durfee
         ):
             return EXIT_VERIFY, "verification failed: construction disagrees with oracle"
     if cmd.json_out:
@@ -281,33 +293,31 @@ def _durfee_report_text(report: DurfeeMaxReport) -> str:
 
 
 def _verify_durfee_report(report: DurfeeMaxReport, full: CharacterSum) -> str | None:
-    oracle_max = max(durfee(nu) for nu in full.support())
+    oracle_max = max(durfee(nu) for nu in full)
     if oracle_max != report.max_durfee:
-        return f"verification failed: oracle Durfee maximum is {oracle_max}"
-    for w in report.witnesses:
-        if full[w.nu_inverse] != w.mult:
-            return f"verification failed: witness {w.nu_inverse} has multiplicity {full[w.nu_inverse]}"
+        return f"oracle Durfee maximum is {oracle_max}"
+    attainers = {nu: m for nu, m in full.items() if durfee(nu) == oracle_max}
+    witnesses = {w.nu_inverse: w.mult for w in report.witnesses}
+    if report.exhaustive and witnesses != attainers:
+        return f"the exhaustive witnesses are not the oracle's {len(attainers)} attainers"
+    if not witnesses or not witnesses.items() <= attainers.items():
+        return "the witnesses are not a nonempty set of oracle attainers with their multiplicities"
     return None
 
 
-def _run_durfee(cmd: Command) -> tuple[int, str]:
-    a = cmd.diagrams[0]
-    report = max_durfee_special_skew(a, exhaustive=cmd.exhaustive)
-    if cmd.verify:
-        problem = _verify_durfee_report(report, decompose_skew(a))
-        if problem:
-            return EXIT_VERIFY, problem
+def _durfee_result(cmd: Command, report: DurfeeMaxReport) -> tuple[int, str]:
+    problem = cmd.verify and _verify_durfee_report(report, _oracle(cmd))
+    if problem:
+        return EXIT_VERIFY, f"verification failed: {problem}"
     return EXIT_OK, _json_text(report.to_json_dict()) if cmd.json_out else _durfee_report_text(report)
+
+
+def _run_durfee(cmd: Command) -> tuple[int, str]:
+    return _durfee_result(cmd, max_durfee_special_skew(cmd.diagrams[0], exhaustive=cmd.exhaustive))
 
 
 def _run_durfee_product(cmd: Command) -> tuple[int, str]:
-    alpha, beta = cmd.partitions
-    report = max_durfee_product(alpha, beta, exhaustive=cmd.exhaustive)
-    if cmd.verify:
-        problem = _verify_durfee_report(report, outer_product(alpha, beta))
-        if problem:
-            return EXIT_VERIFY, problem
-    return EXIT_OK, _json_text(report.to_json_dict()) if cmd.json_out else _durfee_report_text(report)
+    return _durfee_result(cmd, max_durfee_product(*cmd.partitions, exhaustive=cmd.exhaustive))
 
 
 def _run_eqcheck(cmd: Command) -> tuple[int, str]:
@@ -373,6 +383,8 @@ def run(cmd: Command) -> tuple[int, str]:
             )
     try:
         return _HANDLERS[cmd.verb](cmd)
+    except TooManyFillings as exc:
+        return EXIT_TOO_LARGE, f"refusing oracle run: {exc}"
     except ValueError as exc:
         return EXIT_PRECONDITION, f"error: {exc}"
     except AssertionError as exc:

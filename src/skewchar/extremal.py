@@ -5,9 +5,7 @@ ribbon length partition, and every constituent attaining it is obtained
 from one intersection partition gamma by distributing, for each layer that
 splits into k ribbons, k-1 extra boxes between the row and the column of
 the layer's diagonal box.  The number of ways to realize a distribution is
-the constituent's multiplicity.  These constructions are polynomial; the
-`oracle_extremes` helper recomputes the same data from the full
-(exponential) decomposition for cross-checking.
+the constituent's multiplicity.  These constructions are polynomial.
 """
 
 from __future__ import annotations
@@ -16,8 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .lr import CharacterSum, decompose_skew
-from .partitions import Partition, conjugate, durfee, from_frobenius, principal_hook_lengths
+from .partitions import Partition, conjugate, from_frobenius
 from .ribbons import RibbonProfile, nw_labeling
 from .skew import SkewDiagram
 
@@ -110,44 +107,3 @@ def pi_min(a: SkewDiagram) -> Partition:
 def pi_max(a: SkewDiagram) -> Partition:
     """Lexicographically largest constituent: conjugate of the sorted column heights."""
     return conjugate(Partition(sorted(a.column_heights(), reverse=True)))
-
-
-@dataclass(frozen=True)
-class OracleExtremes:
-    """Extremal data folded from a full decomposition (exponential to obtain)."""
-
-    decomposition: CharacterSum
-    hl: Partition
-    max_hl_terms: tuple[tuple[Partition, int], ...]
-    min_durfee: int
-    max_durfee: int
-    lex_min: Partition
-    lex_max: Partition
-
-
-def oracle_extremes(a: SkewDiagram) -> OracleExtremes:
-    """Recompute every extremal quantity directly from the decomposition."""
-    cs = decompose_skew(a)
-    best: Partition | None = None
-    subset: dict[Partition, int] = {}
-    dmin = None
-    dmax = None
-    for nu, mult in cs.items():
-        h = principal_hook_lengths(nu)
-        if best is None or h > best:
-            best, subset = h, {nu: mult}
-        elif h == best:
-            subset[nu] = mult
-        d = durfee(nu)
-        dmin = d if dmin is None else min(dmin, d)
-        dmax = d if dmax is None else max(dmax, d)
-    support = cs.support()
-    return OracleExtremes(
-        decomposition=cs,
-        hl=best if best is not None else Partition(),
-        max_hl_terms=tuple(sorted(subset.items(), reverse=True)),
-        min_durfee=dmin if dmin is not None else 0,
-        max_durfee=dmax if dmax is not None else 0,
-        lex_min=support[-1] if support else Partition(),
-        lex_max=support[0] if support else Partition(),
-    )

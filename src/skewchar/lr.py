@@ -1,21 +1,24 @@
 """Littlewood-Richardson enumeration and skew character arithmetic.
 
 `enumerate_lr_fillings` is a direct backtracking enumerator over the boxes
-in reverse-row-word order and serves as the ground-truth oracle of the
-whole library.  `decompose_skew` runs the same lattice-filling search row
-by row but merges partial fillings that agree on everything later rows can
-see: the previous row's entries over the shared columns, which group the
-states, and the running content counts.  The merge keeps multiplicities
-exact while collapsing the search tree.  The final counts are partitions
-by construction, so its terms skip the constructors' validation.
+in reverse-row-word order.  `brute_decompose` counts its fillings once per
+candidate constituent; that expansion is the ground-truth oracle of the
+whole library, behind every `--verify`.  `decompose_skew` runs the same
+lattice-filling search row by row but merges partial fillings that agree
+on everything later rows can see: the previous row's entries over the
+shared columns, which group the states, and the running content counts.
+The merge keeps multiplicities exact while collapsing the search tree.
+The final counts are partitions by construction, so its terms skip the
+constructors' validation.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterator, Mapping, Sequence
+from itertools import islice
 
-from .partitions import Partition, contains
+from .partitions import Partition, contains, partitions_of_weight_in_box
 from .skew import Box, SkewDiagram
 
 
@@ -133,6 +136,31 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return sum(1 for _ in enumerate_lr_fillings(SkewDiagram(lam, mu), nu))
 
 
+class TooManyFillings(Exception):
+    """`brute_decompose` counted more LR fillings than its `max_fillings`."""
+
+
+def brute_decompose(a: SkewDiagram, max_fillings: int | None = None) -> CharacterSum:
+    """Expansion by one LR filling count per candidate, independent of `decompose_skew`.
+
+    A column holds at most one 1, so a constituent's first part is at most
+    the number of nonempty columns; by conjugation, its length is at most
+    the number of nonempty rows.  The work grows with the total
+    multiplicity, which the box count does not bound, so `max_fillings`
+    raises `TooManyFillings` as soon as more fillings than that are counted.
+    """
+    terms: dict[Partition, int] = {}
+    left = max_fillings
+    for nu in partitions_of_weight_in_box(a.size, len(a.column_heights()), len(a.row_lengths())):
+        fillings = enumerate_lr_fillings(a, nu)
+        count = sum(1 for _ in (fillings if left is None else islice(fillings, left + 1)))
+        if left is not None and (left := left - count) < 0:
+            raise TooManyFillings(f"more than {max_fillings} LR fillings")
+        if count:
+            terms[nu] = count
+    return CharacterSum(a.size, terms)
+
+
 class CharacterSum:
     """Decomposition into irreducibles: partitions of one weight with multiplicities.
 
@@ -174,6 +202,9 @@ class CharacterSum:
 
     def __getitem__(self, nu: Partition) -> int:
         return self._terms.get(nu, 0)
+
+    def __iter__(self) -> Iterator[Partition]:
+        return iter(self.support())
 
     def __contains__(self, nu: Partition) -> bool:
         return nu in self._terms

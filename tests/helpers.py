@@ -12,11 +12,9 @@ from skewchar import (
     LRTableau,
     Partition,
     SkewDiagram,
-    enumerate_lr_fillings,
     is_lattice_word,
     normalize,
     nw_labeling,
-    partitions_of_weight_in_box,
     strip_nw_ribbons,
 )
 from skewchar.equality import CONDITIONS
@@ -71,19 +69,6 @@ def is_semistandard(t: LRTableau) -> bool:
 
 def is_lr_tableau(t: LRTableau) -> bool:
     return is_semistandard(t) and is_lattice_word(t.reverse_row_word())
-
-
-def brute_decompose(a: SkewDiagram) -> dict[Partition, int]:
-    """Per-candidate enumeration over every partition of the right weight.
-
-    Independent of the row-merged search used by decompose_skew.
-    """
-    out: dict[Partition, int] = {}
-    for nu in partitions_of_weight_in_box(a.size, a.size, a.size):
-        count = sum(1 for _ in enumerate_lr_fillings(a, nu))
-        if count:
-            out[nu] = count
-    return out
 
 
 def _row_fillings(a, b, prev, prev_a, counts):

@@ -1,7 +1,10 @@
 import contextlib
+import dataclasses
 import io
 import json
+import pathlib
 import random
+import shlex
 import subprocess
 import sys
 
@@ -20,7 +23,7 @@ from skewchar import (
     render_plain,
     schubert_product,
 )
-from skewchar import cli, equality
+from skewchar import cli, durfeemax, equality
 from skewchar.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -225,7 +228,7 @@ class TestRun:
             "outer_product",
             "schubert_product",
             "max_hl_characters",
-            "oracle_extremes",
+            "brute_decompose",
             "max_durfee_special_skew",
             "max_durfee_product",
         ):
@@ -237,22 +240,105 @@ class TestRun:
         )
 
     def test_verify_mismatch_exit(self, monkeypatch):
-        from skewchar import extremal
-
         cmd = parse_args(["maxhook", "2,1", "--verify"])
-        broken = extremal.OracleExtremes(
-            decomposition=None,
-            hl=P(1),
-            max_hl_terms=(),
-            min_durfee=0,
-            max_durfee=0,
-            lex_min=P(1),
-            lex_max=P(1),
-        )
-        monkeypatch.setattr(cli, "oracle_extremes", lambda a: broken)
+        monkeypatch.setattr(cli, "brute_decompose", lambda a, limit: CharacterSum(3, {P(3): 1}))
         code, text = run(cmd)
         assert code == EXIT_VERIFY
         assert "verification failed" in text
+
+    @pytest.mark.parametrize(
+        "argv, engine",
+        [
+            (["decompose", "4^2,2^2,1^2 / 1^4"], "decompose_skew"),
+            (["product", "3,2", "2,1"], "outer_product"),
+            (["schubert", "3,2", "2,1", "--box", "4,3"], "schubert_product"),
+            (["maxhook", "8^2,7,4,3^2 / 4,3,2"], "max_hl_characters"),
+            (["durfee", "3,3,2/1,1", "--exhaustive"], "max_durfee_special_skew"),
+            (["durfee-product", "2,1", "2,1", "--exhaustive"], "max_durfee_product"),
+        ],
+    )
+    def test_verify_is_independent_of_the_engine(self, monkeypatch, argv, engine):
+        # the engine loses its last term or witness; the oracle must not
+        argv = argv + ["--verify"]
+        assert run(parse_args(argv))[0] == EXIT_OK
+        original = getattr(cli, engine)
+
+        def dropping(*args, **kwargs):
+            answer = original(*args, **kwargs)
+            if isinstance(answer, CharacterSum):
+                return CharacterSum(answer.weight, dict(answer.items()[:-1]))
+            return dataclasses.replace(answer, witnesses=answer.witnesses[:-1])
+
+        monkeypatch.setattr(cli, engine, dropping)
+        code, text = run(parse_args(argv))
+        assert code == EXIT_VERIFY and text.startswith("verification failed: ")
+
+    def test_oracle_stops_at_its_filling_limit(self):
+        # 30 boxes that share no row or column pass --max-boxes, but have as
+        # many LR fillings as S_30 has involutions
+        delta = lambda n: ",".join(str(i) for i in range(n, 0, -1))
+        argv = ["decompose", f"{delta(30)}/{delta(29)}", "--verify"]
+        assert run(parse_args(argv)) == (
+            EXIT_TOO_LARGE,
+            f"refusing oracle run: more than {cli.ORACLE_MAX_FILLINGS} LR fillings",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, fillings",
+        [
+            (["decompose", "4^2,2^2,1^2 / 1^4"], 6),
+            (["product", "3,2", "2,1"], 10),
+            (["schubert", "3,2", "2,1", "--box", "4,3"], 10),
+            (["maxhook", "8^2,7,4,3^2 / 4,3,2"], 324),
+            (["durfee", "3,3,2/1,1"], 2),
+            (["durfee-product", "5^2,3^2,2", "4,3,1^2"], 1162),
+        ],
+    )
+    def test_every_verify_keeps_the_filling_limit(self, monkeypatch, argv, fillings):
+        argv = argv + ["--verify"]
+        monkeypatch.setattr(cli, "ORACLE_MAX_FILLINGS", fillings)
+        assert run(parse_args(argv))[0] == EXIT_OK
+        monkeypatch.setattr(cli, "ORACLE_MAX_FILLINGS", fillings - 1)
+        assert run(parse_args(argv)) == (
+            EXIT_TOO_LARGE,
+            f"refusing oracle run: more than {fillings - 1} LR fillings",
+        )
+
+    @pytest.mark.parametrize(
+        "witnesses",
+        [(), (durfeemax.DurfeeWitness(P(4, 1, 1), 1),)],
+        ids=["none", "not-maximal"],
+    )
+    def test_certified_witnesses_must_be_oracle_attainers(self, monkeypatch, witnesses):
+        # [4,1,1] has multiplicity 1 in [2,1]x[2,1] but Durfee size 1, not 2
+        assert outer_product(P(2, 1), P(2, 1))[P(4, 1, 1)] == 1
+        original = cli.max_durfee_product
+        monkeypatch.setattr(
+            cli,
+            "max_durfee_product",
+            lambda *args, **kwargs: dataclasses.replace(original(*args, **kwargs), witnesses=witnesses),
+        )
+        assert run(parse_args(["durfee-product", "2,1", "2,1", "--verify"])) == (
+            EXIT_VERIFY,
+            "verification failed: the witnesses are not a nonempty set of oracle attainers"
+            " with their multiplicities",
+        )
+
+    def test_exhaustive_verify_needs_every_attainer(self, monkeypatch):
+        original = durfeemax.outer_product
+
+        def dropping(alpha, beta):
+            full = original(alpha, beta)
+            return CharacterSum(full.weight, {nu: m for nu, m in full.items() if nu != P(2, 2, 1, 1)})
+
+        monkeypatch.setattr(durfeemax, "outer_product", dropping)
+        argv = ["durfee-product", "2,1", "2,1", "--exhaustive"]
+        code, text = run(parse_args(argv))
+        assert code == EXIT_OK and "[2^2,1^2]" not in text
+        assert run(parse_args(argv + ["--verify"])) == (
+            EXIT_VERIFY,
+            "verification failed: the exhaustive witnesses are not the oracle's 5 attainers",
+        )
 
     def test_durfee_product_golden(self):
         code, text = run(parse_args(["durfee-product", "5^2,3^2,2", "4,3,1^2", "--json"]))
@@ -338,6 +424,33 @@ class TestRun:
             first = run(parse_args(argv))
             second = run(parse_args(argv))
             assert first == second
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("skewchar ")
+    ]
+
+
+class TestReadmeExamples:
+    def test_every_verb_has_an_example(self):
+        assert sorted(argv[0] for argv in _readme_cli_examples()) == sorted(cli._HANDLERS)
+
+    @pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
+    def test_documented_exit_code(self, capsys, argv):
+        expected = EXIT_UNEQUAL if argv[0] == "eqcheck" and "--full" in argv else EXIT_OK
+        assert cli.main(argv) == expected
+        out = capsys.readouterr().out
+        try:
+            parse_args(argv + ["--verify"])
+        except UsageError:
+            return  # the verb takes no --verify
+        assert cli.main(argv + ["--verify"]) == expected
+        assert capsys.readouterr().out == out
 
 
 class TestMainEntry:

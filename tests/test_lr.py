@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from skewchar import (
     CharacterSum,
     Partition,
     SkewDiagram,
+    TooManyFillings,
+    brute_decompose,
     components,
     decompose_skew,
     embed_disjoint,
@@ -16,6 +19,7 @@ from skewchar import (
     normalize,
     outer_product,
     parse_skew,
+    partitions_of_weight_in_box,
     rotate180,
     schubert_product,
     translate,
@@ -24,7 +28,6 @@ from skewchar import (
 from helpers import (
     P,
     SD,
-    brute_decompose,
     is_lr_tableau,
     random_partition,
     random_skew,
@@ -142,6 +145,11 @@ class TestCharacterSum:
         cs = CharacterSum(3, {P(3): 1})
         assert cs[P(2, 1)] == 0 and cs[P(3)] == 1
 
+    def test_iteration_ends_after_the_support(self):
+        # islice stops a sequence-protocol fallback, which would yield 0 forever
+        for cs in (CharacterSum(3, {P(2, 1): 2, P(3): 1, P(1, 1, 1): 1}), CharacterSum(0, {})):
+            assert list(itertools.islice(cs, len(cs) + 1)) == cs.support()
+
 
 class TestDecompose:
     def test_l_tromino(self):
@@ -163,19 +171,20 @@ class TestDecompose:
     def test_empty_diagram(self):
         cs = decompose_skew(SD((), ()))
         assert cs.weight == 0 and dict(cs.items()) == {Partition(): 1}
+        assert brute_decompose(SD((), ())) == cs
 
     def test_empty_middle_row(self):
         # the empty second row splits each diagram into two pieces
         for a in (SD((6, 5, 3, 3, 2), (5, 5, 1)), SD((4, 2, 2, 1), (2, 2))):
             assert a.row_span(2)[0] == a.row_span(2)[1]
             assert len(components(a)) == 2
-            assert dict(decompose_skew(a).items()) == brute_decompose(a)
+            assert decompose_skew(a) == brute_decompose(a)
 
     def test_matches_per_candidate_enumeration(self):
         rng = random.Random(22)
         for _ in range(60):
             a = random_skew(rng, 6, 6, 10)
-            assert dict(decompose_skew(a).items()) == brute_decompose(a)
+            assert decompose_skew(a) == brute_decompose(a)
 
     def test_matches_row_by_row_reference(self):
         # terms, multiplicities and items() order of the former per-state search
@@ -242,6 +251,30 @@ class TestDecompose:
             assert decompose_skew(rotate180(a)) == cs
             assert decompose_skew(translate(a, rng.randint(0, 2), rng.randint(0, 2))) == cs
             assert decompose_skew(normalize(a)) == cs
+
+
+class TestBruteDecompose:
+    def test_filling_limit(self):
+        a = parse_skew("4^2,2^2,1^2 / 1^4")
+        total = decompose_skew(a).total_multiplicity()
+        assert brute_decompose(a, total) == brute_decompose(a) == decompose_skew(a)
+        for limit in (0, total - 1):
+            with pytest.raises(TooManyFillings, match=f"^more than {limit} LR fillings$"):
+                brute_decompose(a, limit)
+        # 193 065 fillings in all; the count stops after the first 1 001
+        with pytest.raises(TooManyFillings):
+            brute_decompose(parse_skew("9,8,7,6,5,4,3,2,1/5,4,3,2,1"), 1000)
+
+    def test_candidate_bound_loses_nothing(self):
+        # every partition of |A| as a candidate, against the row/column bound
+        rng = random.Random(26)
+        for _ in range(40):
+            a = random_skew(rng, 5, 5, 9)
+            counts = {
+                nu: sum(1 for _ in enumerate_lr_fillings(a, nu))
+                for nu in partitions_of_weight_in_box(a.size, a.size, a.size)
+            }
+            assert brute_decompose(a) == CharacterSum(a.size, {nu: c for nu, c in counts.items() if c})
 
 
 class TestOuterProduct:
