@@ -258,10 +258,13 @@ def _run_maxhook(cmd: Command) -> tuple[int, str]:
     if cmd.verify:
         terms = _oracle(cmd).items()
         hl = max(principal_hook_lengths(nu) for nu, _ in terms)
+        top = [(nu, m) for nu, m in terms if principal_hook_lengths(nu) == hl]
         if (
             hl != report.hl
-            or [(nu, m) for nu, m in terms if principal_hook_lengths(nu) == hl]
-            != [(w.nu, w.mult) for w in report.witnesses]
+            or top != [(w.nu, w.mult) for w in report.witnesses]
+            # gamma is the intersection of the hl-maximal constituents
+            or Partition(map(min, zip(*(nu.parts for nu, _ in top)))) != report.gamma
+            or len(top) != report.distinct_count
             or min(durfee(nu) for nu, _ in terms) != report.min_durfee
         ):
             return EXIT_VERIFY, "verification failed: construction disagrees with oracle"

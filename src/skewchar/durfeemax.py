@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .extremal import max_hl_characters
 from .lr import decompose_skew, outer_product, schubert_product
-from .partitions import Partition, contains, durfee, partitions_of_weight_in_box
+from .partitions import Partition, contains, durfee
 from .skew import SkewDiagram, embed_disjoint
 
 
@@ -148,8 +148,6 @@ def verify_complementation(mu: Partition, lam: Partition, k: int, l: int) -> boo
         raise ValueError(f"lam must fit inside ({k}^{l})")
     skew_side = decompose_skew(SkewDiagram(lam, mu))
     product_side = schubert_product(mu, complement(lam, k, l), k, l)
-    weight = lam.weight - mu.weight
-    for alpha in partitions_of_weight_in_box(weight, k, l):
-        if skew_side[alpha] != product_side[complement(alpha, k, l)]:
-            return False
-    return True
+    # both supports lie in the box, where complement is a bijection
+    complemented = {complement(alpha, k, l): m for alpha, m in skew_side.items()}
+    return complemented == dict(product_side.items())

@@ -9,7 +9,8 @@ on everything later rows can see: the previous row's entries over the
 shared columns, which group the states, and the running content counts.
 The merge keeps multiplicities exact while collapsing the search tree.
 The final counts are partitions by construction, so its terms skip the
-constructors' validation.
+constructors' validation.  `schubert_product` is that search with a box
+cap; `outer_product` still counts brute fillings per candidate shape.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from itertools import islice
 
 from .partitions import Partition, contains, partitions_of_weight_in_box
-from .skew import Box, SkewDiagram
+from .skew import Box, SkewDiagram, embed_disjoint
 
 
 def is_lattice_word(word: Sequence[int]) -> bool:
@@ -231,8 +232,8 @@ class CharacterSum:
         }
 
 
-def decompose_skew(diagram: SkewDiagram) -> CharacterSum:
-    """Expand a skew character into irreducibles with exact multiplicities."""
+def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> CharacterSum:
+    """Expand a skew character into irreducibles, only those inside `box=(k, l)` if given."""
     # an empty row changes no counts, and the rows around it share no column
     spans = [(a, b) for a, b in map(diagram.row_span, range(1, diagram.num_rows + 1)) if a < b]
     # previous row entries kept for the next row, from column prev_a + 1
@@ -284,6 +285,13 @@ def decompose_skew(diagram: SkewDiagram) -> CharacterSum:
                     if not cnt[v - 1]:
                         cnt.pop()
                     v += 1
+        if box:  # counts only grow, so a state outside the box stays outside
+            k, l = box
+            new_groups = {
+                prev: kept
+                for prev, group in new_groups.items()
+                if (kept := {c: m for c, m in group.items() if c[0] <= k and len(c) <= l})
+            }
         groups, prev_a = new_groups, a
     # the last row keeps nothing, so at most one group is left.  Its counts
     # are partitions: lattice counts are positive and weakly decreasing.
@@ -329,9 +337,8 @@ def outer_product(alpha: Partition, beta: Partition) -> CharacterSum:
 
 
 def schubert_product(alpha: Partition, beta: Partition, k: int, l: int) -> CharacterSum:
-    """Outer product restricted to constituents inside the k x l rectangle."""
+    """Outer product inside the k x l rectangle; the heavier factor's forced filling on top."""
     if k < 1 or l < 1:
         raise ValueError("rectangle sides must be positive")
-    full = outer_product(alpha, beta)
-    kept = {nu: m for nu, m in full.items() if nu[0] <= k and nu.length <= l}
-    return CharacterSum(full.weight, kept)
+    pair = (alpha, beta) if alpha.weight >= beta.weight else (beta, alpha)
+    return decompose_skew(embed_disjoint(*pair), box=(k, l))

@@ -324,6 +324,23 @@ class TestRun:
             " with their multiplicities",
         )
 
+    @pytest.mark.parametrize(
+        "field, value", [("gamma", P(1)), ("distinct_count", 99)], ids=["gamma", "distinct"]
+    )
+    def test_maxhook_verify_checks_gamma_and_distinct_count(self, monkeypatch, field, value):
+        argv = ["maxhook", "8^2,7,4,3^2 / 4,3,2", "--verify"]
+        assert run(parse_args(argv))[0] == EXIT_OK
+        original = cli.max_hl_characters
+        monkeypatch.setattr(
+            cli,
+            "max_hl_characters",
+            lambda a: dataclasses.replace(original(a), **{field: value}),
+        )
+        assert run(parse_args(argv)) == (
+            EXIT_VERIFY,
+            "verification failed: construction disagrees with oracle",
+        )
+
     def test_exhaustive_verify_needs_every_attainer(self, monkeypatch):
         original = durfeemax.outer_product
 

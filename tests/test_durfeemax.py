@@ -3,6 +3,7 @@ import random
 import pytest
 
 from skewchar import (
+    CharacterSum,
     Partition,
     associated_diagram,
     complement,
@@ -16,6 +17,7 @@ from skewchar import (
     outer_product,
     verify_complementation,
 )
+from skewchar import durfeemax
 
 from helpers import P, SD, random_partition, random_subpartition
 
@@ -156,6 +158,22 @@ class TestComplementationIdentity:
         assert verify_complementation(P(1), P(2, 2), 2, 2)
         assert verify_complementation(Partition(), P(3, 3), 3, 2)
         assert verify_complementation(P(1, 1), P(3, 3, 2), 3, 3)
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda terms: terms[:-1], lambda terms: [(nu, m + 1) for nu, m in terms]],
+        ids=["dropped-term", "wrong-multiplicity"],
+    )
+    def test_a_wrong_product_side_fails(self, monkeypatch, change):
+        assert verify_complementation(P(1), P(3, 2, 1), 3, 3)
+        original = durfeemax.schubert_product
+
+        def changed(*args):
+            cs = original(*args)
+            return CharacterSum(cs.weight, dict(change(cs.items())))
+
+        monkeypatch.setattr(durfeemax, "schubert_product", changed)
+        assert not verify_complementation(P(1), P(3, 2, 1), 3, 3)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

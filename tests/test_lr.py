@@ -23,7 +23,9 @@ from skewchar import (
     rotate180,
     schubert_product,
     translate,
+    verify_complementation,
 )
+from skewchar import lr
 
 from helpers import (
     P,
@@ -253,6 +255,33 @@ class TestDecompose:
             assert decompose_skew(normalize(a)) == cs
 
 
+class TestBoxCap:
+    @staticmethod
+    def _in_box(cs, k, l):
+        return CharacterSum(cs.weight, {nu: m for nu, m in cs.items() if nu[0] <= k and nu.length <= l})
+
+    def test_equals_the_filtered_expansion(self):
+        rng = random.Random(28)
+        for _ in range(60):
+            a = random_skew(rng, 9, 9, 25)
+            full = decompose_skew(a)
+            widths = [nu[0] for nu in full]
+            lengths = [nu.length for nu in full]
+            boxes = [
+                (rng.randint(min(widths), max(widths)), rng.randint(min(lengths), max(lengths))),
+                (max(widths), max(lengths)),
+                (min(widths) - 1, max(lengths)),  # empties the answer
+                (max(widths), min(lengths) - 1),  # so does this one
+            ]
+            for k, l in boxes:
+                assert decompose_skew(a, box=(k, l)) == self._in_box(full, k, l)
+            assert len(decompose_skew(a, box=boxes[2])) == len(decompose_skew(a, box=boxes[3])) == 0
+
+    def test_empty_diagram(self):
+        for box in ((1, 1), (0, 0), (3, 2)):
+            assert decompose_skew(SD((), ()), box=box) == decompose_skew(SD((), ()))
+
+
 class TestBruteDecompose:
     def test_filling_limit(self):
         a = parse_skew("4^2,2^2,1^2 / 1^4")
@@ -323,6 +352,34 @@ class TestSchubert:
             b = random_partition(rng, 4, 3)
             k, l = a[0] + b[0], a.length + b.length
             assert schubert_product(a, b, max(k, 1), max(l, 1)) == outer_product(a, b)
+
+    def test_equals_the_filtered_outer_product(self):
+        rng = random.Random(29)
+        shapes = [nu for n in range(8) for nu in partitions_of_weight_in_box(n, n, n)]
+        for a, b in itertools.product(shapes, repeat=2):
+            full = outer_product(a, b)
+            k, l = rng.randint(1, a[0] + b[0] + 1), rng.randint(1, a.length + b.length + 1)
+            kept = {nu: m for nu, m in full.items() if nu[0] <= k and nu.length <= l}
+            assert schubert_product(a, b, k, l) == CharacterSum(full.weight, kept)
+
+    def test_needs_no_brute_enumeration(self, monkeypatch):
+        full = outer_product(P(3, 2), P(2, 2, 1))
+        expected = {nu: m for nu, m in full.items() if nu[0] <= 4 and nu.length <= 4}
+        assert verify_complementation(P(2, 1), P(4, 3, 1), 4, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute enumeration called")
+
+        monkeypatch.setattr(lr, "outer_product", refuse)
+        monkeypatch.setattr(lr, "enumerate_lr_fillings", refuse)
+        assert dict(schubert_product(P(3, 2), P(2, 2, 1), 4, 4).items()) == expected
+        assert verify_complementation(P(2, 1), P(4, 3, 1), 4, 3)
+
+    def test_long_row_and_column(self):
+        # outer_product would list about p(1000) candidate shapes for these 2 terms
+        row, column = Partition([1000]), Partition([1] * 1000)
+        cs = schubert_product(row, column, 1001, 1001)
+        assert dict(cs.items()) == {Partition([1001] + [1] * 999): 1, Partition([1000] + [1] * 1000): 1}
 
     def test_bad_box(self):
         with pytest.raises(ValueError):
