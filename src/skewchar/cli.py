@@ -35,9 +35,9 @@ from .partitions import (
     parse_partition,
     principal_hook_lengths,
 )
-from .render import render
-from .ribbons import nw_labeling, strip_nw_ribbons
-from .skew import SkewDiagram, embed_disjoint, parse_skew
+from .render import _label_grid, render
+from .ribbons import RibbonLabeling, nw_labeling, strip_nw_ribbons
+from .skew import SkewDiagram, box_components, embed_disjoint, parse_skew
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -226,14 +226,36 @@ def _run_schubert(cmd: Command) -> tuple[int, str]:
     return _character_sum_result(cmd, schubert_product(*cmd.partitions, *cmd.box))
 
 
+def _verify_ribbons(a: SkewDiagram, labeling: RibbonLabeling) -> str | None:
+    labels = labeling.labels
+    if set(labels) != set(a.boxes()):
+        return "the labels do not cover the diagram"
+    for (r, c), v in labels.items():
+        if v != labels.get((r - 1, c - 1), 0) + 1:
+            return f"label recurrence broken at {(r, c)}"
+    # each layer again, by flood fill and row and column sets
+    layers: dict[int, list[tuple[int, int]]] = {}
+    for box, v in labels.items():
+        layers.setdefault(v, []).append(box)
+    derived = []
+    for _, layer in sorted(layers.items()):
+        k = len(box_components(layer))
+        rows, cols = {r for r, _ in layer}, {c for _, c in layer}
+        derived.append((len(layer), k, len(cols) - k, len(rows) - k))
+    if [d[0] for d in derived] != list(labeling.pi_nw.parts):
+        return "pi_nw disagrees with the layer sizes"
+    if derived != [(p.size, p.k, p.arm, p.leg) for p in labeling.profiles]:
+        return "the layer profiles disagree with the flood fill of each layer"
+    return None
+
+
 def _run_ribbons(cmd: Command) -> tuple[int, str]:
     a = cmd.diagrams[0]
     labeling = nw_labeling(a)
-    if cmd.verify:
-        for (r, c), v in labeling.labels.items():
-            above = labeling.labels.get((r - 1, c - 1), 0)
-            if v != above + 1:
-                return EXIT_VERIFY, f"verification failed: label recurrence broken at {(r, c)}"
+    problem = cmd.verify and _verify_ribbons(a, labeling)
+    if problem:
+        return EXIT_VERIFY, f"verification failed: {problem}"
+    grid = _label_grid(labeling)
     if cmd.json_out:
         payload = {
             "pi_nw": list(labeling.pi_nw.parts),
@@ -241,10 +263,10 @@ def _run_ribbons(cmd: Command) -> tuple[int, str]:
                 {"index": p.index, "size": p.size, "k": p.k, "arm": p.arm, "leg": p.leg}
                 for p in labeling.profiles
             ],
-            "grid": render(a, "labels").splitlines(),
+            "grid": grid.splitlines(),
         }
         return EXIT_OK, _json_text(payload)
-    lines = [render(a, "labels").rstrip("\n")] if a.size else []
+    lines = [grid.rstrip("\n")] if a.size else []
     lines.append(f"pi_nw = {format_partition(labeling.pi_nw)}")
     lines.extend(
         f"nw {p.index}: size {p.size}, ribbons {p.k}, arm {p.arm}, leg {p.leg}"

@@ -69,16 +69,16 @@ def associated_diagram(alpha: Partition, beta: Partition) -> tuple[int, SkewDiag
     return m, SkewDiagram(complement(alpha, m, m), beta)
 
 
-def _durfee_report(
-    m: int, assoc: SkewDiagram, d: int, exhaustive: bool, expand, max_hl=None
-) -> DurfeeMaxReport:
-    """The report for maximal Durfee size d, with its witnesses cross-checked.
+def _durfee_report(m: int, assoc: SkewDiagram, exhaustive: bool, expand) -> DurfeeMaxReport:
+    """The report for the maximal Durfee size, with its witnesses cross-checked.
 
+    The maximal Durfee size is m minus the minimal Durfee size of `assoc`.
     Exhaustive witnesses are every attainer in the full expansion
     `expand()`.  Otherwise they are the complements in the m x m square of
-    the max-hl constituents of `assoc`; `max_hl` is their report if the
-    caller already has it.
+    the max-hl constituents of `assoc`.
     """
+    max_hl = max_hl_characters(assoc)
+    d = m - max_hl.min_durfee
     if exhaustive:
         full = expand()
         dmax = max(durfee(nu) for nu in full.support())
@@ -86,7 +86,6 @@ def _durfee_report(
             raise AssertionError(f"oracle Durfee maximum {dmax} disagrees with formula {d}")
         wits = tuple(DurfeeWitness(nu, mult) for nu, mult in full.items() if durfee(nu) == d)
     else:
-        max_hl = max_hl or max_hl_characters(assoc)
         wits = [DurfeeWitness(complement(w.nu, m, m), w.mult) for w in max_hl.witnesses]
         wits.sort(key=lambda w: w.nu_inverse.parts, reverse=True)
         wits = tuple(wits)
@@ -101,9 +100,7 @@ def max_durfee_product(
 ) -> DurfeeMaxReport:
     """Largest Durfee size among constituents of the product, with witnesses."""
     m, assoc = associated_diagram(alpha, beta)
-    max_hl = max_hl_characters(assoc)
-    d = m - max_hl.hl.length
-    return _durfee_report(m, assoc, d, exhaustive, lambda: outer_product(alpha, beta), max_hl)
+    return _durfee_report(m, assoc, exhaustive, lambda: outer_product(alpha, beta))
 
 
 def max_durfee_special_skew(a: SkewDiagram, exhaustive: bool = False) -> DurfeeMaxReport:
@@ -129,10 +126,8 @@ def max_durfee_special_skew(a: SkewDiagram, exhaustive: bool = False) -> DurfeeM
         )
     if mu[0] > lam[l - 1]:
         raise ValueError(f"inner width {mu[0]} must not exceed outer last part {lam[l - 1]}")
-    lam_inv = complement(lam, l, l)
-    d = l - max(durfee(mu), durfee(lam_inv))
-    assoc = embed_disjoint(mu, lam_inv)
-    return _durfee_report(l, assoc, d, exhaustive, lambda: decompose_skew(a))
+    assoc = embed_disjoint(mu, complement(lam, l, l))
+    return _durfee_report(l, assoc, exhaustive, lambda: decompose_skew(a))
 
 
 def verify_complementation(mu: Partition, lam: Partition, k: int, l: int) -> bool:

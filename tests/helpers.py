@@ -11,6 +11,7 @@ from skewchar import (
     LevelRecord,
     LRTableau,
     Partition,
+    RibbonProfile,
     SkewDiagram,
     is_lattice_word,
     normalize,
@@ -18,6 +19,7 @@ from skewchar import (
     strip_nw_ribbons,
 )
 from skewchar.equality import CONDITIONS
+from skewchar.skew import box_components
 
 
 def P(*parts: int) -> Partition:
@@ -169,6 +171,29 @@ def recursive_lr_fillings(shape: SkewDiagram, content: Partition):
             del entries[Box(i, j)]
 
     yield from fill(0)
+
+
+def flood_fill_profiles(a: SkewDiagram):
+    """Reference for `nw_labeling`: its former per-layer code.
+
+    Keeps every layer as a box list, counts its ribbons by flood fill and
+    its rows and columns with sets.  Returns (labels, layer sizes, profiles).
+    """
+    labels: dict[Box, int] = {}
+    layers: list[list[Box]] = []
+    for box in a.boxes():
+        v = labels.get(Box(box.row - 1, box.col - 1), 0) + 1
+        labels[box] = v
+        if v > len(layers):
+            layers.append([])
+        layers[v - 1].append(box)
+    profiles = []
+    for level, layer in enumerate(layers, 1):
+        k = len(box_components(layer))
+        ncols = len({c for _, c in layer})
+        nrows = len({r for r, _ in layer})
+        profiles.append(RibbonProfile(level, len(layer), k, ncols - k, nrows - k))
+    return labels, [len(layer) for layer in layers], tuple(profiles)
 
 
 def per_level_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:

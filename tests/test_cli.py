@@ -17,11 +17,13 @@ from skewchar import (
     Partition,
     SkewDiagram,
     decompose_skew,
+    nw_labeling,
     outer_product,
     render,
     render_labels,
     render_plain,
     schubert_product,
+    translate,
 )
 from skewchar import cli, durfeemax, equality
 from skewchar.cli import (
@@ -126,6 +128,13 @@ class TestParse:
             parse_args(["decompose", "2,2 / 3"])
         assert not isinstance(err.value, UsageError)
         assert "inner not contained in outer" in str(err.value)
+
+
+def _with_layer(labeling, index, **change):
+    """The labeling with one layer profile changed."""
+    profiles = list(labeling.profiles)
+    profiles[index] = dataclasses.replace(profiles[index], **change)
+    return dataclasses.replace(labeling, profiles=tuple(profiles))
 
 
 class TestRun:
@@ -340,6 +349,48 @@ class TestRun:
             EXIT_VERIFY,
             "verification failed: construction disagrees with oracle",
         )
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            lambda lab: _with_layer(lab, 2, k=3),
+            lambda lab: _with_layer(lab, 0, arm=0),
+            lambda lab: dataclasses.replace(lab, pi_nw=P(17, 15, 9, 1)),
+            lambda lab: dataclasses.replace(lab, labels={**lab.labels, (1, 6): 2}),
+            lambda lab: nw_labeling(translate(lab.diagram, down=1)),
+        ],
+        ids=["k", "arm", "pi_nw", "recurrence", "another-diagram"],
+    )
+    def test_ribbons_verify_rederives_the_layers(self, monkeypatch, broken):
+        argv = ["ribbons", "10^2,8^4,5^2 / 5^4", "--verify"]
+        assert run(parse_args(argv))[0] == EXIT_OK
+        original = cli.nw_labeling
+        monkeypatch.setattr(cli, "nw_labeling", lambda a: broken(original(a)))
+        code, text = run(parse_args(argv))
+        assert code == EXIT_VERIFY
+        assert text.startswith("verification failed: ")
+
+    def test_ribbons_verify_passes_on_random_diagrams(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            text = str(random_skew(rng, max_boxes=40))
+            assert run(parse_args(["ribbons", text, "--verify"]))[0] == EXIT_OK, text
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--verify"]], ids=["text", "json", "verify"])
+    def test_ribbons_labels_once(self, monkeypatch, flags):
+        render_module = sys.modules["skewchar.render"]
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        original = cli.nw_labeling
+        monkeypatch.setattr(cli, "nw_labeling", counting)
+        monkeypatch.setattr(render_module, "nw_labeling", counting)
+        cmd = parse_args(["ribbons", "10^2,8^4,5^2 / 5^4", *flags])
+        assert run(cmd)[0] == EXIT_OK
+        assert calls == [cmd.diagrams[0]]
 
     def test_exhaustive_verify_needs_every_attainer(self, monkeypatch):
         original = durfeemax.outer_product

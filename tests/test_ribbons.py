@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewchar import (
     Partition,
@@ -15,7 +17,7 @@ from skewchar import (
     strip_nw_ribbons,
 )
 
-from helpers import P, SD, random_partition, random_skew
+from helpers import P, SD, flood_fill_profiles, random_partition, random_skew
 
 RIBBON_PAIR = (SD((10, 10, 8, 8, 8, 8, 5, 5), (5, 5, 5, 5)), SD((10, 10, 10, 10, 8, 8, 3, 3), (5, 5, 5, 5)))
 
@@ -128,3 +130,60 @@ class TestStrip:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             strip_nw_ribbons(SD((2, 2), (1,)), 2)
+
+
+def _random_rows(rng: random.Random, rows: int, cols: int) -> SkewDiagram:
+    """Random diagram in a rows x cols frame; some rows empty, often disconnected."""
+    outer = sorted((rng.randint(1, cols) for _ in range(rows)), reverse=True)
+    inner: list[int] = []
+    for x in outer:
+        cap = min([x] + inner[-1:])
+        inner.append(cap if rng.random() < 0.15 else rng.randint(0, cap))
+    return SD(outer, [y for y in inner if y])
+
+
+@st.composite
+def skew_diagrams(draw):
+    outer = sorted(draw(st.lists(st.integers(1, 12), max_size=9)), reverse=True)
+    inner: list[int] = []
+    for x in outer:
+        inner.append(draw(st.integers(0, min([x] + inner[-1:]))))
+    return SD(outer, [y for y in inner if y])
+
+
+class TestCountingPass:
+    """`nw_labeling` counts rows and columns met; the reference flood-fills each layer."""
+
+    def _assert_matches_reference(self, a):
+        labeling = nw_labeling(a)
+        labels, sizes, profiles = flood_fill_profiles(a)
+        assert labeling.labels == labels
+        assert list(labeling.pi_nw.parts) == sizes
+        assert labeling.profiles == profiles
+
+    def test_matches_flood_fill_on_random_diagrams(self):
+        rng = random.Random(38)
+        shapes = {"empty middle row": 0, "disconnected": 0}
+        randoms = [_random_rows(rng, rng.randint(1, 9), rng.randint(1, 12)) for _ in range(2000)]
+        for a in [SD((), ()), SD((3, 3), (3, 3)), SD((4, 1, 1), (4,))] + randoms:
+            self._assert_matches_reference(a)
+            spans = [a.row_span(i) for i in range(1, a.num_rows + 1)]
+            shapes["empty middle row"] += any(lo == hi for lo, hi in spans[1:-1])
+            shapes["disconnected"] += len(components(a)) > 1
+        assert min(shapes.values()) >= 100, shapes
+
+    def test_matches_flood_fill_on_large_bands(self):
+        rng = random.Random(39)
+        for rows, cols in ((40, 60), (50, 50), (60, 45)):
+            outer = sorted((rng.randint(cols // 2, cols) for _ in range(rows)), reverse=True)
+            inner = sorted((rng.randint(0, cols // 3) for _ in range(rows)), reverse=True)
+            a = SD(outer, inner)
+            assert a.size >= 1000
+            self._assert_matches_reference(a)
+
+    @given(skew_diagrams())
+    def test_labels_weakly_increase_along_rows_and_columns(self, a):
+        labels = nw_labeling(a).labels
+        for (r, c), v in labels.items():
+            assert labels.get((r, c + 1), v) >= v
+            assert labels.get((r + 1, c), v) >= v
