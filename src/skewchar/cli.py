@@ -159,6 +159,9 @@ def parse_args(argv: list[str]) -> Command:
         if k < 1 or l < 1:
             raise UsageError("--box sides must be positive")
         cmd.box = (k, l)
+    for flag, value in (("--strip", cmd.strip), ("--max-boxes", cmd.max_boxes or 0)):
+        if value < 0:
+            raise UsageError(f"{flag} must not be negative, got {value}")
     for attr in ("diagram", "a", "b"):
         if hasattr(ns, attr):
             cmd.diagrams.append(_parsed(parse_skew, getattr(ns, attr)))
@@ -227,9 +230,11 @@ def _run_schubert(cmd: Command) -> tuple[int, str]:
 
 
 def _verify_ribbons(a: SkewDiagram, labeling: RibbonLabeling) -> str | None:
-    labels = labeling.labels
-    if set(labels) != set(a.boxes()):
+    spans = [a.row_span(i) for i in range(1, a.num_rows + 1)]
+    if [len(row) for row in labeling.rows] != [hi - lo for lo, hi in spans]:
         return "the labels do not cover the diagram"
+    rows = enumerate(zip(spans, labeling.rows), 1)
+    labels = {(r, c): v for r, ((lo, _), row) in rows for c, v in enumerate(row, lo + 1)}
     for (r, c), v in labels.items():
         if v != labels.get((r - 1, c - 1), 0) + 1:
             return f"label recurrence broken at {(r, c)}"

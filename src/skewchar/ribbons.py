@@ -25,7 +25,7 @@ boxes, and two ribbons share no row or column.  Summed over a layer of
 
 `nw_labeling` counts, per layer, the boxes, the rows met (boxes whose left
 neighbour carries another label) and the columns met (the same for the
-upper neighbour) in one pass over the rows.
+upper neighbour) in one pass over the rows, whose label lists it keeps.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import Partition
-from .skew import Box, SkewDiagram, skew_from_boxes
+from .skew import SkewDiagram, skew_from_boxes
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,17 @@ class RibbonProfile:
 
 @dataclass(eq=False)
 class RibbonLabeling:
-    """Per-box northwest ribbon indices with derived layer data."""
+    """Northwest ribbon indices, row by row, with derived layer data."""
 
     diagram: SkewDiagram
-    labels: dict[Box, int]
+    rows: list[list[int]]  # rows[i - 1]: row i's labels from column inner_i + 1 on, [] if empty
     pi_nw: Partition
     profiles: tuple[RibbonProfile, ...]
 
 
 def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
     """Label every box with its northwest ribbon index."""
-    labels: dict[Box, int] = {}
+    rows: list[list[int]] = []
     counts: list[list[int]] = []  # per layer: boxes, rows met, columns met
     above: list[int] = []  # labels of the row above, from column plo + 1 on
     plo = a.num_cols  # row 0 is empty at full width
@@ -75,19 +75,20 @@ def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
             layer[0] += 1
             layer[1] += j == lo + 1 or v != row[j - lo - 2]
             layer[2] += j <= plo or v != above[j - plo - 1]
-            labels[Box(i, j)] = v
+        rows.append(row)
         above, plo = row, lo
     sizes = [n for n, _, _ in counts]
     if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
         raise AssertionError(f"northwest ribbon sizes are not weakly decreasing: {sizes}")
-    profiles = tuple(
+    # from a list: a generator's tuple is resized and leaves blocks on the free lists
+    profiles = tuple([
         RibbonProfile(index=level, size=n, k=r + c - n, arm=n - r, leg=n - c)
         for level, (n, r, c) in enumerate(counts, 1)
-    )
+    ])
     for p in profiles:
         if p.k < 1 or p.arm < 0 or p.leg < 0:
             raise AssertionError(f"inconsistent ribbon layer {p}")
-    return RibbonLabeling(a, labels, Partition(sizes), profiles)
+    return RibbonLabeling(a, rows, Partition(sizes), profiles)
 
 
 def pi_nw(a: SkewDiagram) -> Partition:
@@ -108,4 +109,6 @@ def strip_nw_ribbons(a: SkewDiagram, t: int) -> SkewDiagram:
     labeling = nw_labeling(a)
     if not 0 <= t <= len(labeling.profiles):
         raise ValueError(f"cannot strip {t} ribbons from {len(labeling.profiles)} layers")
-    return skew_from_boxes(b for b, v in labeling.labels.items() if v > t)
+    rows = enumerate(labeling.rows, 1)
+    boxes = ((i, j) for i, row in rows for j, v in enumerate(row, a.inner[i - 1] + 1) if v > t)
+    return skew_from_boxes(boxes)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import string
 
 from skewchar import (
     Box,
@@ -11,6 +12,7 @@ from skewchar import (
     LevelRecord,
     LRTableau,
     Partition,
+    RibbonLabeling,
     RibbonProfile,
     SkewDiagram,
     is_lattice_word,
@@ -19,7 +21,7 @@ from skewchar import (
     strip_nw_ribbons,
 )
 from skewchar.equality import CONDITIONS
-from skewchar.skew import box_components
+from skewchar.skew import box_components, skew_from_boxes
 
 
 def P(*parts: int) -> Partition:
@@ -194,6 +196,41 @@ def flood_fill_profiles(a: SkewDiagram):
         nrows = len({r for r, _ in layer})
         profiles.append(RibbonProfile(level, len(layer), k, ncols - k, nrows - k))
     return labels, [len(layer) for layer in layers], tuple(profiles)
+
+
+def label_map(labeling: RibbonLabeling) -> dict[Box, int]:
+    """The labels of `labeling.rows` by box.
+
+    Asserts one list per row of the diagram, each as long as that row.
+    """
+    a = labeling.diagram
+    spans = [a.row_span(i) for i in range(1, a.num_rows + 1)]
+    assert [len(row) for row in labeling.rows] == [hi - lo for lo, hi in spans]
+    return {
+        Box(i, j): v
+        for i, ((lo, _), row) in enumerate(zip(spans, labeling.rows), 1)
+        for j, v in enumerate(row, lo + 1)
+    }
+
+
+def strip_by_labels(labels: dict[Box, int], t: int) -> SkewDiagram:
+    """Reference for `strip_nw_ribbons`: the boxes labeled above t."""
+    return skew_from_boxes(b for b, v in labels.items() if v > t)
+
+
+LABEL_SYMBOLS = string.digits[1:] + string.ascii_lowercase + string.ascii_uppercase
+
+
+def label_grid_by_labels(a: SkewDiagram, labels: dict[Box, int]) -> str:
+    """Reference for `render_labels` up to 61 layers: its former per-box code."""
+    lines = []
+    for i in range(1, a.num_rows + 1):
+        lo, hi = a.row_span(i)
+        symbols = (LABEL_SYMBOLS[labels[Box(i, j)] - 1] for j in range(lo + 1, hi + 1))
+        lines.append(":" * lo + "".join(symbols))
+    depth = max(labels.values(), default=0)
+    lines.extend(f"{LABEL_SYMBOLS[v - 1]} = {v}" for v in range(10, depth + 1))
+    return "".join(line + "\n" for line in lines)
 
 
 def per_level_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:

@@ -40,7 +40,7 @@ from skewchar import (
 )
 from skewchar.cli import EXIT_OK, EXIT_UNEQUAL, parse_args, run
 
-from helpers import P, SD, random_partition, random_skew, random_subpartition
+from helpers import P, SD, label_map, random_partition, random_skew, random_subpartition
 
 
 @contextmanager
@@ -198,7 +198,7 @@ def test_criterion_7_lr_law_sweep():
                 )
 
             # labeling recurrence on every box
-            labels = nw_labeling(a).labels
+            labels = label_map(nw_labeling(a))
             for (r, c), v in labels.items():
                 northwest = labels.get((r - 1, c - 1))
                 assert (v == 1) == (northwest is None)

@@ -42,7 +42,7 @@ from skewchar.cli import (
 
 from skewchar.partitions import MAX_PARTS, format_partition, parse_partition
 
-from helpers import P, SD, random_partition, random_skew
+from helpers import LABEL_SYMBOLS, P, SD, flood_fill_profiles, random_partition, random_skew
 
 EXAMPLE_GRID_A = (
     ":::::11111\n"
@@ -68,6 +68,34 @@ class TestRender:
         text = render_labels(SkewDiagram(Partition([10] * 10)))
         assert "a = 10" in text
         assert text.splitlines()[9].endswith("a")
+        lines = render_labels(SkewDiagram(Partition([61] * 61))).splitlines()
+        assert lines[60] == LABEL_SYMBOLS
+        assert lines[-1] == "Z = 61" and len(lines) == 61 + 52
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ribbons", "62^62"], ["ribbons", "62^62", "--json"], ["render", "62^62", "--labels"]],
+        ids=["ribbons", "json", "render"],
+    )
+    def test_more_layers_than_symbols_draw_decimal_cells(self, capsys, argv):
+        assert cli.main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        grid = json.loads(out)["grid"] if "--json" in argv else out.splitlines()[:62]
+        cells = [[line[k : k + 2] for k in range(0, len(line), 3)] for line in grid]
+        assert [" ".join(row) for row in cells] == grid
+        labels = {(i, j): int(x) for i, row in enumerate(cells, 1) for j, x in enumerate(row, 1)}
+        assert labels == flood_fill_profiles(SD([62] * 62))[0]
+
+    def test_decimal_cells_keep_inner_boxes_aligned(self):
+        a = SD([64] * 64, [3, 1])
+        grid = render_labels(a).splitlines()
+        cells = [[line[k : k + 2] for k in range(0, len(line), 3)] for line in grid]
+        assert [" ".join(row) for row in cells] == grid
+        assert [row.count(" :") for row in cells] == [3, 1] + [0] * 62
+        labels = {
+            (i, j): int(x) for i, row in enumerate(cells, 1) for j, x in enumerate(row, 1) if x != " :"
+        }
+        assert labels == flood_fill_profiles(a)[0]
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -116,6 +144,19 @@ class TestParse:
             parse_args(["maxhook", "8^2,7,4,3^2/4,3,2", "--strip", "4"])
         assert not isinstance(err.value, UsageError)
         assert "cannot strip 4 ribbons from 3 layers" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "2,1", "--max-boxes", "-1"],
+            ["decompose", "2,1", "--max-boxes", "-1", "--verify"],
+            ["ribbons", "2,1", "--strip", "-1"],
+        ],
+        ids=["max-boxes", "max-boxes-verify", "strip"],
+    )
+    def test_negative_count_is_usage_error(self, capsys, argv):
+        assert cli.main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {argv[2]} must not be negative, got -1\n"
 
     def test_eqcheck_has_no_oracle_flags(self):
         for flags in (["--verify"], ["--max-boxes", "5"]):
@@ -351,24 +392,35 @@ class TestRun:
         )
 
     @pytest.mark.parametrize(
-        "broken",
+        "broken, problem",
         [
-            lambda lab: _with_layer(lab, 2, k=3),
-            lambda lab: _with_layer(lab, 0, arm=0),
-            lambda lab: dataclasses.replace(lab, pi_nw=P(17, 15, 9, 1)),
-            lambda lab: dataclasses.replace(lab, labels={**lab.labels, (1, 6): 2}),
-            lambda lab: nw_labeling(translate(lab.diagram, down=1)),
+            (lambda lab: _with_layer(lab, 2, k=3), "the layer profiles disagree"),
+            (lambda lab: _with_layer(lab, 0, arm=0), "the layer profiles disagree"),
+            (lambda lab: dataclasses.replace(lab, pi_nw=P(17, 15, 9, 1)), "pi_nw disagrees"),
+            # the first box of row 1 is (1, 6)
+            (
+                lambda lab: dataclasses.replace(lab, rows=[[2, *lab.rows[0][1:]], *lab.rows[1:]]),
+                "label recurrence broken at (1, 6)",
+            ),
+            (
+                lambda lab: dataclasses.replace(lab, rows=[*lab.rows[:-1], lab.rows[-1][:-1]]),
+                "the labels do not cover the diagram",
+            ),
+            (
+                lambda lab: nw_labeling(translate(lab.diagram, down=1)),
+                "the labels do not cover the diagram",
+            ),
         ],
-        ids=["k", "arm", "pi_nw", "recurrence", "another-diagram"],
+        ids=["k", "arm", "pi_nw", "recurrence", "coverage", "another-diagram"],
     )
-    def test_ribbons_verify_rederives_the_layers(self, monkeypatch, broken):
+    def test_ribbons_verify_rederives_the_layers(self, monkeypatch, broken, problem):
         argv = ["ribbons", "10^2,8^4,5^2 / 5^4", "--verify"]
         assert run(parse_args(argv))[0] == EXIT_OK
         original = cli.nw_labeling
         monkeypatch.setattr(cli, "nw_labeling", lambda a: broken(original(a)))
         code, text = run(parse_args(argv))
         assert code == EXIT_VERIFY
-        assert text.startswith("verification failed: ")
+        assert text.startswith(f"verification failed: {problem}")
 
     def test_ribbons_verify_passes_on_random_diagrams(self):
         rng = random.Random(41)

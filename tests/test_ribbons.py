@@ -13,11 +13,21 @@ from skewchar import (
     nw_labeling,
     pi_nw,
     principal_hook_lengths,
+    render_labels,
     ribbon_profile,
     strip_nw_ribbons,
 )
 
-from helpers import P, SD, flood_fill_profiles, random_partition, random_skew
+from helpers import (
+    P,
+    SD,
+    flood_fill_profiles,
+    label_grid_by_labels,
+    label_map,
+    random_partition,
+    random_skew,
+    strip_by_labels,
+)
 
 RIBBON_PAIR = (SD((10, 10, 8, 8, 8, 8, 5, 5), (5, 5, 5, 5)), SD((10, 10, 10, 10, 8, 8, 3, 3), (5, 5, 5, 5)))
 
@@ -44,7 +54,7 @@ class TestLabeling:
         rng = random.Random(32)
         for _ in range(60):
             a = random_skew(rng)
-            labels = nw_labeling(a).labels
+            labels = label_map(nw_labeling(a))
             for (r, c), v in labels.items():
                 northwest = labels.get((r - 1, c - 1))
                 assert (v == 1) == (northwest is None)
@@ -152,14 +162,21 @@ def skew_diagrams(draw):
 
 
 class TestCountingPass:
-    """`nw_labeling` counts rows and columns met; the reference flood-fills each layer."""
+    """`nw_labeling` counts rows and columns met; the reference flood-fills each layer.
+
+    Stripping and the label grid, which read the labeling's rows, are
+    pinned to their former code on the reference's box -> label map.
+    """
 
     def _assert_matches_reference(self, a):
         labeling = nw_labeling(a)
         labels, sizes, profiles = flood_fill_profiles(a)
-        assert labeling.labels == labels
+        assert label_map(labeling) == labels
         assert list(labeling.pi_nw.parts) == sizes
         assert labeling.profiles == profiles
+        for t in range(len(sizes) + 1):
+            assert strip_nw_ribbons(a, t) == strip_by_labels(labels, t)
+        assert render_labels(a) == label_grid_by_labels(a, labels)
 
     def test_matches_flood_fill_on_random_diagrams(self):
         rng = random.Random(38)
@@ -183,7 +200,7 @@ class TestCountingPass:
 
     @given(skew_diagrams())
     def test_labels_weakly_increase_along_rows_and_columns(self, a):
-        labels = nw_labeling(a).labels
+        labels = label_map(nw_labeling(a))
         for (r, c), v in labels.items():
             assert labels.get((r, c + 1), v) >= v
             assert labels.get((r + 1, c), v) >= v
