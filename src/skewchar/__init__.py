@@ -35,7 +35,6 @@ from .extremal import (
 )
 from .lr import (
     CharacterSum,
-    LRTableau,
     TooManyFillings,
     brute_decompose,
     decompose_skew,

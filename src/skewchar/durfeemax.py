@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extremal import max_hl_characters
+from .extremal import max_hl_characters, min_durfee
 from .lr import decompose_skew, outer_product, schubert_product
 from .partitions import Partition, contains, durfee
 from .skew import SkewDiagram, embed_disjoint
@@ -77,15 +77,16 @@ def _durfee_report(m: int, assoc: SkewDiagram, exhaustive: bool, expand) -> Durf
     `expand()`.  Otherwise they are the complements in the m x m square of
     the max-hl constituents of `assoc`.
     """
-    max_hl = max_hl_characters(assoc)
-    d = m - max_hl.min_durfee
     if exhaustive:
+        d = m - min_durfee(assoc)
         full = expand()
         dmax = max(durfee(nu) for nu in full.support())
         if dmax != d:
             raise AssertionError(f"oracle Durfee maximum {dmax} disagrees with formula {d}")
         wits = tuple(DurfeeWitness(nu, mult) for nu, mult in full.items() if durfee(nu) == d)
     else:
+        max_hl = max_hl_characters(assoc)
+        d = m - max_hl.min_durfee
         wits = [DurfeeWitness(complement(w.nu, m, m), w.mult) for w in max_hl.witnesses]
         wits.sort(key=lambda w: w.nu_inverse.parts, reverse=True)
         wits = tuple(wits)

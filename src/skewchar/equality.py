@@ -86,25 +86,26 @@ def necessary_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:
     no normalization is needed.
     """
     pa, pb = nw_labeling(a).profiles, nw_labeling(b).profiles
-    levels = []
-    failure: tuple[int, str] | None = None
-    for t in range(min(len(pa), len(pb)) + 1):
-        sa, sb = pa[t:], pb[t:]
-        record = LevelRecord(
-            level=t,
-            pi_nw_equal=[p.size for p in sa] == [p.size for p in sb],
-            k_equal=[p.k for p in sa] == [p.k for p in sb],
-            armleg_equal=[(p.arm, p.leg) for p in sa] == [(p.arm, p.leg) for p in sb],
-        )
-        levels.append(record)
-        if failure is None:
-            checks = zip(CONDITIONS, (record.pi_nw_equal, record.k_equal, record.armleg_equal))
-            for condition, ok in checks:
-                if not ok:
-                    failure = (t, condition)
-                    break
+    if len(pa) != len(pb):
+        # suffixes of different lengths never agree
+        flags = [(False, False, False)] * (min(len(pa), len(pb)) + 1)
+    else:
+        # one backward scan: level t passes a condition when every layer
+        # from t on agrees on it
+        size_ok = k_ok = armleg_ok = True
+        flags = [(True, True, True)]
+        for p, q in zip(reversed(pa), reversed(pb)):
+            size_ok = size_ok and p.size == q.size
+            k_ok = k_ok and p.k == q.k
+            armleg_ok = armleg_ok and p.arm == q.arm and p.leg == q.leg
+            flags.append((size_ok, k_ok, armleg_ok))
+        flags.reverse()
+    failure = next(
+        ((t, c) for t, level_flags in enumerate(flags) for c, ok in zip(CONDITIONS, level_flags) if not ok),
+        None,
+    )
     return EqualityReport(
-        levels=tuple(levels),
+        levels=tuple(LevelRecord(t, *level_flags) for t, level_flags in enumerate(flags)),
         passed=failure is None,
         fail_level=failure[0] if failure else None,
         fail_condition=failure[1] if failure else None,

@@ -1,7 +1,8 @@
 """Littlewood-Richardson enumeration and skew character arithmetic.
 
 `enumerate_lr_fillings` is a direct backtracking enumerator over the boxes
-in reverse-row-word order.  `brute_decompose` counts its fillings once per
+in reverse-row-word order; it yields each filling as its reverse row word,
+the entries in that order.  `brute_decompose` counts its fillings once per
 candidate constituent; that expansion is the ground-truth oracle of the
 whole library, behind every `--verify`.  `decompose_skew` runs the same
 lattice-filling search row by row but merges partial fillings that agree
@@ -20,7 +21,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from itertools import islice
 
 from .partitions import Partition, contains, partitions_of_weight_in_box
-from .skew import Box, SkewDiagram, embed_disjoint
+from .skew import SkewDiagram, embed_disjoint
 
 
 def is_lattice_word(word: Sequence[int]) -> bool:
@@ -39,65 +40,32 @@ def is_lattice_word(word: Sequence[int]) -> bool:
     return True
 
 
-class LRTableau:
-    """Semistandard skew filling whose reverse row word is a lattice word."""
-
-    __slots__ = ("shape", "entries")
-
-    def __init__(self, shape: SkewDiagram, entries: Mapping[Box, int]):
-        self.shape = shape
-        self.entries = dict(entries)
-
-    def reverse_row_word(self) -> tuple[int, ...]:
-        word = []
-        for i in range(1, self.shape.num_rows + 1):
-            a, b = self.shape.row_span(i)
-            word.extend(self.entries[Box(i, j)] for j in range(b, a, -1))
-        return tuple(word)
-
-    def content(self) -> Partition:
-        counts = [0] * (max(self.entries.values()) if self.entries else 0)
-        for v in self.entries.values():
-            counts[v - 1] += 1
-        return Partition(counts)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LRTableau)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"LRTableau({self.shape!s}, {sorted(self.entries.items())})"
-
-
-def enumerate_lr_fillings(shape: SkewDiagram, content: Partition) -> Iterator[LRTableau]:
+def enumerate_lr_fillings(shape: SkewDiagram, content: Partition) -> Iterator[tuple[int, ...]]:
     """All LR fillings of the shape with the given content, by backtracking.
 
-    Boxes are filled in reverse-row-word order, smallest feasible entry
-    first, so the output order is deterministic.
+    Each filling is yielded as its reverse row word: the entries row by
+    row from the top, each row right to left.  With the shape, the word
+    fixes the filling.  Boxes are filled in that order, smallest feasible
+    entry first, so the output order is deterministic.
     """
     if shape.size != content.weight:
         raise ValueError("content weight does not match the number of boxes")
-    # per position in that order: the box, the position of the box above it
-    # (-1 if outside the shape) and whether the box to its right, always the
+    # per position in that order: the position of the box above it (-1 if
+    # outside the shape) and whether the box to its right, always the
     # position just before it, is in the shape
-    boxes: list[Box] = []
     above: list[int] = []
     right: list[bool] = []
     prev_start = prev_a = prev_b = 0
     for i in range(1, shape.num_rows + 1):
         a, b = shape.row_span(i)
-        start = len(boxes)
+        start = len(above)
         for j in range(b, a, -1):
             above.append(prev_start + prev_b - j if prev_a < j <= prev_b else -1)
             right.append(j < b)
-            boxes.append(Box(i, j))
         prev_start, prev_a, prev_b = start, a, b
-    total = len(boxes)
+    total = len(above)
     if not total:
-        yield LRTableau(shape, {})
+        yield ()
         return
     caps = content.parts
     n = len(caps)
@@ -120,7 +88,7 @@ def enumerate_lr_fillings(shape: SkewDiagram, content: Partition) -> Iterator[LR
                 idx += 1
                 v = vals[above[idx]] + 1 if above[idx] >= 0 else 1
                 continue
-            yield LRTableau(shape, dict(zip(boxes, vals)))
+            yield tuple(vals)
         else:
             if not idx:
                 return

@@ -10,7 +10,6 @@ from skewchar import (
     CharacterSum,
     EqualityReport,
     LevelRecord,
-    LRTableau,
     Partition,
     RibbonLabeling,
     RibbonProfile,
@@ -59,20 +58,28 @@ def random_skew(
             return diagram
 
 
-def is_semistandard(t: LRTableau) -> bool:
-    """Row-weak, column-strict check done directly on the entries."""
-    for (r, c), v in t.entries.items():
-        right = t.entries.get(Box(r, c + 1))
+def reverse_row_word_boxes(shape: SkewDiagram) -> list[Box]:
+    """The boxes in reverse-row-word order: rows top to bottom, each right to left."""
+    return sorted(shape.boxes(), key=lambda box: (box.row, -box.col))
+
+
+def is_semistandard(shape: SkewDiagram, word) -> bool:
+    """Row-weak, column-strict check done on the word placed back on the shape."""
+    boxes = reverse_row_word_boxes(shape)
+    assert len(word) == len(boxes)
+    entries = dict(zip(boxes, word))
+    for (r, c), v in entries.items():
+        right = entries.get(Box(r, c + 1))
         if right is not None and v > right:
             return False
-        below = t.entries.get(Box(r + 1, c))
+        below = entries.get(Box(r + 1, c))
         if below is not None and v >= below:
             return False
     return True
 
 
-def is_lr_tableau(t: LRTableau) -> bool:
-    return is_semistandard(t) and is_lattice_word(t.reverse_row_word())
+def is_lr_tableau(shape: SkewDiagram, word) -> bool:
+    return is_semistandard(shape, word) and is_lattice_word(word)
 
 
 def _row_fillings(a, b, prev, prev_a, counts):

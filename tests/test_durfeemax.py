@@ -105,8 +105,22 @@ class TestMaxDurfeeProduct:
             return nw_labeling(a)
 
         monkeypatch.setattr(extremal, "nw_labeling", counting)
-        report = max_durfee_product(P(5, 5, 3, 3, 2), P(4, 3, 1, 1))
-        assert calls == [report.associated]
+        for exhaustive in (False, True):
+            calls.clear()
+            report = max_durfee_product(P(5, 5, 3, 3, 2), P(4, 3, 1, 1), exhaustive=exhaustive)
+            assert calls == [report.associated]
+
+    def test_exhaustive_lists_no_max_hl_witnesses(self, monkeypatch):
+        # the prod(k) max-hl witnesses are the certified answer only
+        product = max_durfee_product(P(3, 2), P(2, 2, 1)).max_durfee
+        special = max_durfee_special_skew(SD((3, 3, 2), (1, 1))).max_durfee
+
+        def refuse(a):
+            raise AssertionError("max-hl witnesses listed")
+
+        monkeypatch.setattr(durfeemax, "max_hl_characters", refuse)
+        assert max_durfee_product(P(3, 2), P(2, 2, 1), exhaustive=True).max_durfee == product
+        assert max_durfee_special_skew(SD((3, 3, 2), (1, 1)), exhaustive=True).max_durfee == special
 
     def test_exhaustive_lists_every_attainer(self):
         report = max_durfee_product(P(2, 1), P(2, 1), exhaustive=True)

@@ -64,6 +64,8 @@ class TestStructural:
             a, b = random_skew(rng), random_skew(rng)
             if a.size == b.size:
                 pairs.append((a, b))
+        # pi_nw (7, 4, 2) and (7, 5, 1): the first layers agree, deeper ones do not
+        pairs.append((SD((5, 4, 4)), SD((5, 5, 3))))
         for _ in range(40):
             a = random_skew(rng)
             pairs.append((a, rotate180(a)))
