@@ -72,7 +72,6 @@ from .ribbons import (
     strip_nw_ribbons,
 )
 from .skew import (
-    Box,
     SkewDiagram,
     components,
     embed_disjoint,

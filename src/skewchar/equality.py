@@ -3,8 +3,8 @@
 Equal characters must agree, at every ribbon stripping level, on the ribbon
 length partition, the per-layer ribbon counts, and the per-layer arm and leg
 lengths.  Passing all structural levels proves nothing; failing any one
-proves inequality.  The definitive (exponential) test compares full
-decompositions term by term.
+proves inequality.  The definitive test proves equality from the components
+or compares full decompositions (exponential) term by term.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .lr import decompose_skew
 from .partitions import Partition
 from .ribbons import nw_labeling
-from .skew import SkewDiagram, normalize, rotate180
+from .skew import SkewDiagram, components, rotate180
 
 CONDITIONS = ("pi_nw", "ribbon_count", "arm_leg")
 
@@ -112,17 +112,26 @@ def necessary_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:
     )
 
 
+def _parts(a: SkewDiagram) -> tuple:
+    return a.outer.parts, a.inner.parts
+
+
+def _component_key(a: SkewDiagram) -> list[tuple]:
+    """Sorted components, each as the lesser of itself and its half-turn."""
+    return sorted(min(_parts(c), _parts(rotate180(c))) for c in components(a))
+
+
 def full_equality(a: SkewDiagram, b: SkewDiagram) -> tuple[bool, Discrepancy | None]:
     """Definitive equality test by full decomposition (exponential).
 
     Returns the lexicographically largest partition whose multiplicities
-    differ, when there is one.  Translates and half-turns of one diagram
-    have the same character, so they are answered without an expansion.
+    differ, when there is one.  A character is the product of its components'
+    characters, each kept by a half-turn, so diagrams whose components agree
+    up to order, translation and half-turns are equal without an expansion.
     """
-    na, nb = normalize(a), normalize(b)
-    if na == nb or na == rotate180(b):
+    if _component_key(a) == _component_key(b):
         return True, None
-    da, db = decompose_skew(na), decompose_skew(nb)
+    da, db = decompose_skew(a), decompose_skew(b)
     for nu in sorted(set(da.support()) | set(db.support()), reverse=True):
         if da[nu] != db[nu]:
             return False, Discrepancy(nu, da[nu], db[nu])

@@ -52,42 +52,40 @@ def hl_of_skew(a: SkewDiagram) -> Partition:
     return nw_labeling(a).pi_nw
 
 
-def _gamma_frobenius(profiles: tuple[RibbonProfile, ...]) -> tuple[list[int], list[int]]:
-    arms = [p.arm for p in profiles]
-    legs = [p.leg for p in profiles]
-    for seq in (arms, legs):
-        for i in range(1, len(seq)):
-            if seq[i - 1] <= seq[i]:
-                raise AssertionError(f"ribbon arm/leg data not strictly decreasing: {seq}")
-    return arms, legs
+def _checked_frobenius(arms: list[int], legs: list[int], what: str) -> Partition:
+    """`from_frobenius`, whose refusal here is a broken invariant, not bad input."""
+    try:
+        return from_frobenius(arms, legs)
+    except ValueError as exc:
+        raise AssertionError(f"invalid {what}: {exc}") from exc
+
+
+def _gamma(profiles: tuple[RibbonProfile, ...]) -> Partition:
+    return _checked_frobenius([p.arm for p in profiles], [p.leg for p in profiles], "gamma")
 
 
 def gamma_partition(a: SkewDiagram) -> Partition:
     """Intersection of all constituents with maximal hook length partition."""
-    arms, legs = _gamma_frobenius(nw_labeling(a).profiles)
-    return from_frobenius(arms, legs)
+    return _gamma(nw_labeling(a).profiles)
 
 
 def max_hl_characters(a: SkewDiagram) -> MaxHookReport:
     """All constituents whose hook length partition is maximal, with multiplicities."""
     profiles = nw_labeling(a).profiles
-    arms, legs = _gamma_frobenius(profiles)
+    gamma = _gamma(profiles)
     ks = [p.k for p in profiles]
     witnesses = []
     for choice in itertools.product(*(range(k) for k in ks)):
-        w_arms = [arms[i] + choice[i] for i in range(len(ks))]
-        w_legs = [legs[i] + ks[i] - 1 - choice[i] for i in range(len(ks))]
-        try:
-            nu = from_frobenius(w_arms, w_legs)
-        except ValueError as exc:
-            raise AssertionError(f"invalid witness for choices {choice}: {exc}") from exc
+        w_arms = [p.arm + c for p, c in zip(profiles, choice)]
+        w_legs = [p.leg + p.k - 1 - c for p, c in zip(profiles, choice)]
+        nu = _checked_frobenius(w_arms, w_legs, f"witness for choices {choice}")
         mult = math.prod(math.comb(ks[i] - 1, choice[i]) for i in range(len(ks)))
         witnesses.append(MaxHookWitness(nu, mult, tuple(choice)))
     witnesses.sort(key=lambda w: w.nu.parts, reverse=True)
     hl = Partition(p.size for p in profiles)
     return MaxHookReport(
         hl=hl,
-        gamma=from_frobenius(arms, legs),
+        gamma=gamma,
         witnesses=tuple(witnesses),
         distinct_count=math.prod(ks),
         min_durfee=hl.length,

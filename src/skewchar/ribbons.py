@@ -30,10 +30,11 @@ upper neighbour) in one pass over the rows, whose label lists it keeps.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .partitions import Partition
-from .skew import SkewDiagram, skew_from_boxes
+from .skew import SkewDiagram, normalize
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,6 @@ def strip_nw_ribbons(a: SkewDiagram, t: int) -> SkewDiagram:
     labeling = nw_labeling(a)
     if not 0 <= t <= len(labeling.profiles):
         raise ValueError(f"cannot strip {t} ribbons from {len(labeling.profiles)} layers")
-    rows = enumerate(labeling.rows, 1)
-    boxes = ((i, j) for i, row in rows for j, v in enumerate(row, a.inner[i - 1] + 1) if v > t)
-    return skew_from_boxes(boxes)
+    # labels weakly increase along a row (the Lemma): the stripped boxes are a prefix
+    inner = Partition(a.inner[i] + bisect_right(row, t) for i, row in enumerate(labeling.rows))
+    return normalize(SkewDiagram(a.outer, inner))

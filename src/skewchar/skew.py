@@ -1,14 +1,16 @@
-"""Skew diagrams: nested partition pairs and their box-set operations.
+"""Skew diagrams: nested partition pairs and their row-span operations.
 
 Diagrams are compared structurally on (outer, inner); translates of each
 other normalize to the same representative, which is how semantic equality
-of shapes is expressed.
+of shapes is expressed.  Every operation here works on the row spans
+(inner_i, outer_i]; box sets only enter through `skew_from_boxes` and leave
+through `SkewDiagram.boxes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .partitions import (
     GrammarError,
@@ -18,11 +20,6 @@ from .partitions import (
     format_partition,
     parse_partition,
 )
-
-
-class Box(NamedTuple):
-    row: int
-    col: int
 
 
 _EMPTY = Partition()
@@ -53,22 +50,12 @@ class SkewDiagram:
         """Occupied columns (a, b] of 1-based row i."""
         return self.inner[i - 1], self.outer[i - 1]
 
-    def boxes(self) -> list[Box]:
-        out = []
-        for i in range(1, self.num_rows + 1):
-            a, b = self.row_span(i)
-            out.extend(Box(i, j) for j in range(a + 1, b + 1))
-        return out
-
-    def contains_box(self, row: int, col: int) -> bool:
-        if not 1 <= row <= self.num_rows:
-            return False
-        a, b = self.row_span(row)
-        return a < col <= b
+    def boxes(self) -> list[tuple[int, int]]:
+        """The (row, col) boxes, row by row; the inverse of `skew_from_boxes`."""
+        return [(i, j) for i, (a, b) in enumerate(_spans(self), 1) for j in range(a + 1, b + 1)]
 
     def row_lengths(self) -> list[int]:
-        spans = (self.row_span(i) for i in range(1, self.num_rows + 1))
-        return [b - a for a, b in spans if b > a]
+        return [b - a for a, b in _spans(self) if b > a]
 
     def column_heights(self) -> list[int]:
         co, ci = conjugate(self.outer), conjugate(self.inner)
@@ -78,61 +65,67 @@ class SkewDiagram:
         return format_skew(self)
 
 
+def _spans(a: SkewDiagram) -> list[tuple[int, int]]:
+    return [a.row_span(i) for i in range(1, a.num_rows + 1)]
+
+
+def _from_spans(spans: list[tuple[int, int]]) -> SkewDiagram:
+    """Canonical diagram of the row spans (a, b], top row first.
+
+    Empty rows at the top and bottom are dropped and the leftmost box moves
+    to column 1; an empty row pinned between occupied ones keeps the outer
+    width of the row below.  The constructors raise ValueError on any span
+    list that is not a skew shape.
+    """
+    filled = [i for i, (a, b) in enumerate(spans) if a < b]
+    if not filled:
+        return SkewDiagram(_EMPTY, _EMPTY)
+    shift = min(spans[i][0] for i in filled)
+    outer: list[int] = []
+    inner: list[int] = []
+    for a, b in reversed(spans[filled[0] : filled[-1] + 1]):
+        if a == b:
+            a = b = outer[-1] + shift
+        outer.append(b - shift)
+        inner.append(a - shift)
+    return SkewDiagram(Partition(outer[::-1]), Partition(inner[::-1]))
+
+
 def skew_from_boxes(boxes: Iterable[tuple[int, int]]) -> SkewDiagram:
     """Canonical skew diagram of a box set, translated against row 1 / column 1.
 
     Raises ValueError if the boxes are not a translate of any skew shape.
     """
-    boxset = {(r, c) for r, c in boxes}
-    if not boxset:
-        return SkewDiagram(_EMPTY, _EMPTY)
-    dr = 1 - min(r for r, _ in boxset)
-    dc = 1 - min(c for _, c in boxset)
-    shifted = {(r + dr, c + dc) for r, c in boxset}
-    nrows = max(r for r, _ in shifted)
-    rows: dict[int, list[int]] = {}
-    for r, c in shifted:
-        rows.setdefault(r, []).append(c)
-    outer = [0] * nrows
-    inner = [0] * nrows
-    for i in range(nrows, 0, -1):
-        cols = rows.get(i)
-        if cols is None:
-            # an empty row pinned between occupied ones; keep it empty at
-            # the least width compatible with the row below
-            outer[i - 1] = inner[i - 1] = outer[i]
-            continue
-        cols.sort()
-        if cols[-1] - cols[0] + 1 != len(cols):
+    rows: dict[int, set[int]] = {}
+    for r, c in boxes:
+        rows.setdefault(r, set()).add(c)
+    spans = []
+    for r in range(min(rows, default=1), max(rows, default=0) + 1):
+        cols = rows.get(r, ())
+        # a row without boxes gives the empty span (0, 0]
+        lo, hi = min(cols, default=1), max(cols, default=0)
+        if hi - lo + 1 != len(cols):
             raise ValueError("boxes do not form a skew diagram")
-        inner[i - 1] = cols[0] - 1
-        outer[i - 1] = cols[-1]
+        spans.append((lo - 1, hi))
     try:
-        result = SkewDiagram(Partition(outer), Partition(inner))
+        return _from_spans(spans)
     except ValueError:
         raise ValueError("boxes do not form a skew diagram") from None
-    if set(result.boxes()) != shifted:
-        raise ValueError("boxes do not form a skew diagram")
-    return result
 
 
 def normalize(a: SkewDiagram) -> SkewDiagram:
     """Canonical representative of a under translation."""
-    return skew_from_boxes(a.boxes())
+    return _from_spans(_spans(a))
 
 
 def rotate180(a: SkewDiagram) -> SkewDiagram:
-    """Half-turn of the box set, restated as a canonical outer/inner pair."""
-    bs = a.boxes()
-    if not bs:
-        return SkewDiagram(_EMPTY, _EMPTY)
-    rmax = max(b.row for b in bs)
-    cmax = max(b.col for b in bs)
-    return skew_from_boxes((rmax + 1 - r, cmax + 1 - c) for r, c in bs)
+    """Half-turn of the diagram, restated as a canonical outer/inner pair."""
+    w = a.num_cols
+    return _from_spans([(w - b, w - a) for a, b in reversed(_spans(a))])
 
 
 def box_components(boxes: Iterable[tuple[int, int]]) -> list[set[tuple[int, int]]]:
-    """Edge-connected groups of a box set, in no particular order."""
+    """Edge-connected groups of a box set, in no particular order (a flood fill)."""
     remaining = set(boxes)
     groups = []
     while remaining:
@@ -152,9 +145,14 @@ def box_components(boxes: Iterable[tuple[int, int]]) -> list[set[tuple[int, int]
 def components(a: SkewDiagram) -> list[SkewDiagram]:
     """Maximal box groups sharing no row or column, topmost group first.
 
-    For skew shapes these are exactly the edge-connected components.
+    For skew shapes these are exactly the edge-connected components: runs
+    of rows, each row starting left of the end of the row below it.
     """
-    return [skew_from_boxes(g) for g in sorted(box_components(a.boxes()), key=min)]
+    spans = _spans(a)
+    cuts = [0] + [i for i in range(1, len(spans)) if spans[i - 1][0] >= spans[i][1]] + [len(spans)]
+    # an empty row is cut off on both sides and gives an empty piece
+    pieces = (_from_spans(spans[i:j]) for i, j in zip(cuts, cuts[1:]))
+    return [p for p in pieces if p.outer]
 
 
 def embed_disjoint(alpha: Partition, beta: Partition) -> SkewDiagram:

@@ -6,7 +6,6 @@ import random
 import string
 
 from skewchar import (
-    Box,
     CharacterSum,
     EqualityReport,
     LevelRecord,
@@ -58,9 +57,9 @@ def random_skew(
             return diagram
 
 
-def reverse_row_word_boxes(shape: SkewDiagram) -> list[Box]:
+def reverse_row_word_boxes(shape: SkewDiagram) -> list[tuple[int, int]]:
     """The boxes in reverse-row-word order: rows top to bottom, each right to left."""
-    return sorted(shape.boxes(), key=lambda box: (box.row, -box.col))
+    return sorted(shape.boxes(), key=lambda box: (box[0], -box[1]))
 
 
 def is_semistandard(shape: SkewDiagram, word) -> bool:
@@ -69,10 +68,10 @@ def is_semistandard(shape: SkewDiagram, word) -> bool:
     assert len(word) == len(boxes)
     entries = dict(zip(boxes, word))
     for (r, c), v in entries.items():
-        right = entries.get(Box(r, c + 1))
+        right = entries.get((r, c + 1))
         if right is not None and v > right:
             return False
-        below = entries.get(Box(r + 1, c))
+        below = entries.get((r + 1, c))
         if below is not None and v >= below:
             return False
     return True
@@ -160,24 +159,30 @@ def recursive_lr_fillings(shape: SkewDiagram, content: Partition):
         a, b = shape.row_span(i)
         order.extend((i, j) for j in range(b, a, -1))
     counts = [0] * content.length
-    entries: dict[Box, int] = {}
+    entries: dict[tuple[int, int], int] = {}
+
+    def inside(i, j):
+        if not 1 <= i <= shape.num_rows:
+            return False
+        a, b = shape.row_span(i)
+        return a < j <= b
 
     def fill(idx):
         if idx == len(order):
             yield list(entries.items())
             return
         i, j = order[idx]
-        lo = entries[Box(i - 1, j)] + 1 if shape.contains_box(i - 1, j) else 1
-        hi = entries[Box(i, j + 1)] if shape.contains_box(i, j + 1) else content.length
+        lo = entries[(i - 1, j)] + 1 if inside(i - 1, j) else 1
+        hi = entries[(i, j + 1)] if inside(i, j + 1) else content.length
         for v in range(lo, hi + 1):
             c = counts[v - 1]
             if c >= content[v - 1] or (v > 1 and counts[v - 2] <= c):
                 continue
             counts[v - 1] = c + 1
-            entries[Box(i, j)] = v
+            entries[(i, j)] = v
             yield from fill(idx + 1)
             counts[v - 1] = c
-            del entries[Box(i, j)]
+            del entries[(i, j)]
 
     yield from fill(0)
 
@@ -188,10 +193,11 @@ def flood_fill_profiles(a: SkewDiagram):
     Keeps every layer as a box list, counts its ribbons by flood fill and
     its rows and columns with sets.  Returns (labels, layer sizes, profiles).
     """
-    labels: dict[Box, int] = {}
-    layers: list[list[Box]] = []
+    labels: dict[tuple[int, int], int] = {}
+    layers: list[list[tuple[int, int]]] = []
     for box in a.boxes():
-        v = labels.get(Box(box.row - 1, box.col - 1), 0) + 1
+        r, c = box
+        v = labels.get((r - 1, c - 1), 0) + 1
         labels[box] = v
         if v > len(layers):
             layers.append([])
@@ -205,7 +211,7 @@ def flood_fill_profiles(a: SkewDiagram):
     return labels, [len(layer) for layer in layers], tuple(profiles)
 
 
-def label_map(labeling: RibbonLabeling) -> dict[Box, int]:
+def label_map(labeling: RibbonLabeling) -> dict[tuple[int, int], int]:
     """The labels of `labeling.rows` by box.
 
     Asserts one list per row of the diagram, each as long as that row.
@@ -214,13 +220,31 @@ def label_map(labeling: RibbonLabeling) -> dict[Box, int]:
     spans = [a.row_span(i) for i in range(1, a.num_rows + 1)]
     assert [len(row) for row in labeling.rows] == [hi - lo for lo, hi in spans]
     return {
-        Box(i, j): v
+        (i, j): v
         for i, ((lo, _), row) in enumerate(zip(spans, labeling.rows), 1)
         for j, v in enumerate(row, lo + 1)
     }
 
 
-def strip_by_labels(labels: dict[Box, int], t: int) -> SkewDiagram:
+def normalize_by_boxes(a: SkewDiagram) -> SkewDiagram:
+    """Reference for `normalize`: the box set, translated by `skew_from_boxes`."""
+    return skew_from_boxes(a.boxes())
+
+
+def rotate180_by_boxes(a: SkewDiagram) -> SkewDiagram:
+    """Reference for `rotate180`: the half-turned box set."""
+    boxes = a.boxes()
+    rmax = max((r for r, _ in boxes), default=0)
+    cmax = max((c for _, c in boxes), default=0)
+    return skew_from_boxes((rmax + 1 - r, cmax + 1 - c) for r, c in boxes)
+
+
+def components_by_boxes(a: SkewDiagram) -> list[SkewDiagram]:
+    """Reference for `components`: flood-filled box groups, topmost first."""
+    return [skew_from_boxes(g) for g in sorted(box_components(a.boxes()), key=min)]
+
+
+def strip_by_labels(labels: dict[tuple[int, int], int], t: int) -> SkewDiagram:
     """Reference for `strip_nw_ribbons`: the boxes labeled above t."""
     return skew_from_boxes(b for b, v in labels.items() if v > t)
 
@@ -228,12 +252,12 @@ def strip_by_labels(labels: dict[Box, int], t: int) -> SkewDiagram:
 LABEL_SYMBOLS = string.digits[1:] + string.ascii_lowercase + string.ascii_uppercase
 
 
-def label_grid_by_labels(a: SkewDiagram, labels: dict[Box, int]) -> str:
+def label_grid_by_labels(a: SkewDiagram, labels: dict[tuple[int, int], int]) -> str:
     """Reference for `render_labels` up to 61 layers: its former per-box code."""
     lines = []
     for i in range(1, a.num_rows + 1):
         lo, hi = a.row_span(i)
-        symbols = (LABEL_SYMBOLS[labels[Box(i, j)] - 1] for j in range(lo + 1, hi + 1))
+        symbols = (LABEL_SYMBOLS[labels[(i, j)] - 1] for j in range(lo + 1, hi + 1))
         lines.append(":" * lo + "".join(symbols))
     depth = max(labels.values(), default=0)
     lines.extend(f"{LABEL_SYMBOLS[v - 1]} = {v}" for v in range(10, depth + 1))

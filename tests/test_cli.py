@@ -25,7 +25,7 @@ from skewchar import (
     schubert_product,
     translate,
 )
-from skewchar import cli, durfeemax, equality
+from skewchar import cli, durfeemax, equality, extremal
 from skewchar.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -521,6 +521,13 @@ class TestRun:
         assert code == EXIT_OK
         assert json.loads(text)["full_check"] == {"equal": True, "first_discrepancy": None}
 
+    def test_render_takes_no_json(self, capsys):
+        # render draws the diagram; --json is not one of its flags
+        assert cli.main(["render", "2,2/1", "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unrecognized arguments: --json\n")
+
     def test_render_modes(self):
         code, text = run(parse_args(["render", "3,1/1"]))
         assert (code, text) == (EXIT_OK, ":##\n#\n")
@@ -604,6 +611,27 @@ class TestMainEntry:
         assert captured.err == (
             "internal error: northwest ribbon sizes are not weakly decreasing: [1, 2]\n"
         )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"arm": 3}, "invalid gamma: Frobenius coordinates must strictly decrease, got (3, 3)"),
+            (
+                {"k": 2},
+                "invalid witness for choices (0, 0): "
+                "Frobenius coordinates must strictly decrease, got (2, 2)",
+            ),
+        ],
+        ids=["gamma", "witness"],
+    )
+    def test_maxhook_frobenius_failure_is_internal(self, monkeypatch, capsys, change, message):
+        # "4,4,3/1" has layer arms (3, 2), legs (2, 1) and one ribbon per layer
+        original = extremal.nw_labeling
+        monkeypatch.setattr(extremal, "nw_labeling", lambda a: _with_layer(original(a), 1, **change))
+        assert cli.main(["maxhook", "4,4,3/1"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {message}\n"
 
     def test_precondition_exit(self):
         proc = subprocess.run(

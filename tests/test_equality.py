@@ -1,12 +1,18 @@
 import random
+from collections import defaultdict
 
 import pytest
 
 from skewchar import (
+    Partition,
+    SkewDiagram,
     check_equality,
+    decompose_skew,
+    embed_disjoint,
     equality,
     full_equality,
     necessary_conditions,
+    normalize,
     parse_skew,
     ribbons,
     rotate180,
@@ -71,8 +77,9 @@ class TestStructural:
             pairs.append((a, rotate180(a)))
             pairs.append((a, translate(a, rng.randint(0, 3), rng.randint(0, 3))))
         with monkeypatch.context() as m:
-            # stripping and normalizing both go through skew_from_boxes
-            m.setattr(ribbons, "skew_from_boxes", None)
+            # neither strips nor builds a canonical diagram
+            m.setattr(ribbons, "strip_nw_ribbons", None)
+            m.setattr(skew, "_from_spans", None)
             m.setattr(skew, "skew_from_boxes", None)
             reports = []
             for a, b in pairs:
@@ -124,6 +131,52 @@ class TestFullEquality:
             full_equality(PAIR_A, PAIR_B)
         with pytest.raises(AssertionError):
             full_equality(SD((3, 1)), SD((2, 1, 1)))
+
+    def test_same_components_need_no_expansion(self, monkeypatch):
+        def no_expansion(_):
+            raise AssertionError("full expansion of equal components")
+
+        monkeypatch.setattr(equality, "decompose_skew", no_expansion)
+        for alpha, beta in ((P(2), P(1)), (P(3, 1), P(2, 2)), (P(4, 2, 1), P(3))):
+            pair = (embed_disjoint(alpha, beta), embed_disjoint(beta, alpha))
+            assert pair[0] != pair[1]
+            assert full_equality(*pair) == (True, None)
+        # components 2,1 / 4,2/1 / 1 from the top; below: 1 / 2,1 / 4,3/2,
+        # reordered with the middle one turned
+        a = parse_skew("7,6,5,3,1 / 5,5,2,1")
+        b = parse_skew("7,6,5,4,3 / 6,4,4,2")
+        assert normalize(a) != normalize(b) and normalize(a) != rotate180(b)
+        assert full_equality(a, b) == (True, None)
+        assert full_equality(rotate180(b), translate(a, 3, 2)) == (True, None)
+
+    def test_component_check_is_sound(self):
+        # every normalized diagram of at most 6 boxes in a 6 x 6 frame, built
+        # from the bottom row up: the bottom row starts in column 1, each row
+        # above starts and ends no further left, and an empty row sits at the
+        # outer width of the row below it
+        def spans_from(spans, left):
+            a0, b0 = spans[-1]
+            if a0 < b0:
+                yield spans
+            if len(spans) == 6:
+                return
+            if a0 < b0 and len(spans) < 5:
+                yield from spans_from(spans + [(b0, b0)], left)
+            for b in range(b0, 7):
+                for a in range(max(a0, b - left), b):
+                    yield from spans_from(spans + [(a, b)], left - (b - a))
+
+        groups = defaultdict(list)
+        for b in range(1, 7):
+            for spans in spans_from([(0, b)], 6 - b):
+                outer = Partition(hi for _, hi in reversed(spans))
+                d = SkewDiagram(outer, Partition(lo for lo, _ in reversed(spans)))
+                assert normalize(d) == d
+                groups[repr(equality._component_key(d))].append(d)
+        assert sum(len(g) > 1 for g in groups.values()) > 100
+        for group in groups.values():
+            first = decompose_skew(group[0])
+            assert all(decompose_skew(d) == first for d in group[1:])
 
     def test_worked_pair_unequal_with_discrepancy(self):
         equal, disc = full_equality(PAIR_A, PAIR_B)

@@ -4,17 +4,41 @@ import pytest
 
 from skewchar import (
     Partition,
+    SkewDiagram,
     components,
     embed_disjoint,
     format_skew,
+    full_equality,
     normalize,
+    nw_labeling,
     parse_skew,
     rotate180,
+    skew,
     skew_from_boxes,
+    strip_nw_ribbons,
     translate,
 )
 
-from helpers import P, SD, random_skew
+from helpers import (
+    P,
+    SD,
+    components_by_boxes,
+    label_map,
+    normalize_by_boxes,
+    random_skew,
+    rotate180_by_boxes,
+    strip_by_labels,
+)
+
+
+def random_skew_with_empty_rows(rng: random.Random) -> SkewDiagram:
+    """Random diagram, often with empty rows at the top or pinned between others."""
+    outer = sorted((rng.randint(0, 8) for _ in range(rng.randint(0, 8))), reverse=True)
+    inner, cap = [], 8
+    for x in outer:
+        cap = min(x, cap) if rng.random() < 0.2 else rng.randint(0, min(x, cap))
+        inner.append(cap)
+    return SkewDiagram(Partition(outer), Partition(inner))
 
 
 class TestConstruction:
@@ -101,6 +125,58 @@ class TestComponents:
                 assert comps[0] == normalize(a)
 
 
+class TestEmptyRows:
+    # rows: empty top, (2, 4], empty pinned, (0, 1]; columns 1-2 empty above row 4
+    A = parse_skew("4,4,2,1/4,2,2")
+
+    def test_normalize(self):
+        assert normalize(self.A) == parse_skew("4,1,1/2,1")
+        assert normalize(parse_skew("5,5,4/5,3,3")) == SD((2, 1))
+
+    def test_rotate180(self):
+        assert rotate180(self.A) == parse_skew("4,2,2/3,2")
+        assert rotate180(parse_skew("5,5,4/5,3,3")) == SD((2, 2), (1,))
+
+    def test_components(self):
+        assert components(self.A) == [SD((2,)), SD((1,))]
+        got = components(parse_skew("6,6,5,2,2,1/6,4,3,2,1"))
+        assert got == [SD((3, 2), (1,)), SD((1,)), SD((1,))]
+
+    def test_empty_diagram(self):
+        empty = SD((), ())
+        for a in (empty, SD((3, 3), (3, 3))):
+            assert normalize(a) == rotate180(a) == empty
+            assert components(a) == []
+
+    def test_matches_box_set_references(self):
+        rng = random.Random(14)
+        seen_top = seen_pinned = 0
+        for _ in range(2000):
+            a = random_skew_with_empty_rows(rng)
+            filled = [i for i in range(1, a.num_rows + 1) if a.outer[i - 1] > a.inner[i - 1]]
+            if filled:
+                seen_top += filled[0] > 1
+                seen_pinned += len(filled) < filled[-1] - filled[0] + 1
+            assert normalize(a) == normalize_by_boxes(a)
+            assert rotate180(a) == rotate180_by_boxes(a)
+            assert components(a) == components_by_boxes(a)
+            labels = label_map(nw_labeling(a))
+            for t in range(len(nw_labeling(a).profiles) + 1):
+                assert strip_nw_ribbons(a, t) == strip_by_labels(labels, t)
+        assert seen_top > 50 and seen_pinned > 50
+
+    def test_no_box_sets(self, monkeypatch):
+        def no_boxes(*_):
+            raise AssertionError("box set built")
+
+        a = parse_skew("6,6,5,2,2,1/6,4,3,2,1")
+        expected = (normalize(a), rotate180(a), components(a), strip_nw_ribbons(a, 1))
+        monkeypatch.setattr(SkewDiagram, "boxes", no_boxes)
+        monkeypatch.setattr(skew, "skew_from_boxes", no_boxes)
+        assert (normalize(a), rotate180(a), components(a), strip_nw_ribbons(a, 1)) == expected
+        assert full_equality(a, translate(a, 2, 1)) == (True, None)
+
+
 class TestEmbedDisjoint:
     def test_examples(self):
         assert embed_disjoint(P(2), P(1)) == SD((3, 1), (1,))
@@ -126,10 +202,13 @@ class TestEmbedDisjoint:
 
 class TestBoxSets:
     def test_rejects_non_skew(self):
-        with pytest.raises(ValueError):
+        message = "boxes do not form a skew diagram"
+        with pytest.raises(ValueError, match=message):
             skew_from_boxes([(1, 1), (1, 3)])  # gap in a row
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             skew_from_boxes([(1, 1), (2, 2)])  # inner corner unsupported
+        with pytest.raises(ValueError, match=message):
+            skew_from_boxes([(1, 1), (3, 2)])  # lower row reaches further right
 
     def test_round_trip(self):
         rng = random.Random(12)
