@@ -24,8 +24,10 @@ from .equality import (
     necessary_conditions,
 )
 from .extremal import (
+    MAX_WITNESSES,
     MaxHookReport,
     MaxHookWitness,
+    TooManyWitnesses,
     gamma_partition,
     hl_of_skew,
     max_hl_characters,

@@ -4,8 +4,9 @@ Exit codes: 0 success (or equality not excluded), 1 usage error,
 2 domain precondition failure, 3 definitively unequal (eqcheck),
 4 structural failure (eqcheck), 5 verification mismatch, 6 oracle run
 refused because the instance exceeds --max-boxes or the oracle counts more
-than ORACLE_MAX_FILLINGS LR fillings, 7 internal error (an invariant of the
-computation failed; a bug, never an input problem).
+than ORACLE_MAX_FILLINGS LR fillings, or a max-hl witness list refused for
+holding more than extremal.MAX_WITNESSES witnesses, 7 internal error (an
+invariant of the computation failed; a bug, never an input problem).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .durfeemax import DurfeeMaxReport, max_durfee_product, max_durfee_special_skew
 from .equality import check_equality
-from .extremal import max_hl_characters
+from .extremal import TooManyWitnesses, max_hl_characters
 from .lr import (
     CharacterSum,
     TooManyFillings,
@@ -177,18 +178,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+@functools.cache
+def _term_template(length: int) -> str:
+    """The JSON of one term whose partition has `length` parts, as a `%` template."""
+    parts = "[\n        " + ",\n        ".join(["%d"] * length) + "\n      ]" if length else "[]"
+    return '    {\n      "partition": ' + parts + ',\n      "mult": %d\n    }'
+
+
 def _character_sum_json(cs: CharacterSum) -> str:
     """`_json_text(cs.to_json_dict())`, written term by term.
 
     `json.dumps` falls back to its pure-Python encoder whenever `indent` is
     set, which made the output of large sums cost as much as their search.
     """
-    terms = [
-        '    {\n      "partition": '
-        + ("[\n        " + ",\n        ".join(map(str, nu.parts)) + "\n      ]" if nu else "[]")
-        + f',\n      "mult": {mult}\n    }}'
-        for nu, mult in cs.items()
-    ]
+    terms = [_term_template(len(parts)) % (parts + (mult,)) for parts, mult in cs._sorted_parts()]
     listed = "[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"
     return f'{{\n  "weight": {cs.weight},\n  "terms": {listed}\n}}\n'
 
@@ -415,6 +418,8 @@ def run(cmd: Command) -> tuple[int, str]:
         return _HANDLERS[cmd.verb](cmd)
     except TooManyFillings as exc:
         return EXIT_TOO_LARGE, f"refusing oracle run: {exc}"
+    except TooManyWitnesses as exc:
+        return EXIT_TOO_LARGE, f"refusing witness list: {exc}"
     except ValueError as exc:
         return EXIT_PRECONDITION, f"error: {exc}"
     except AssertionError as exc:

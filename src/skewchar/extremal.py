@@ -19,6 +19,15 @@ from .ribbons import RibbonProfile, nw_labeling
 from .skew import SkewDiagram
 
 
+# max_hl_characters refuses to list more witnesses than this; their number,
+# the product of the layers' ribbon counts, is not bounded by the box count
+MAX_WITNESSES = 100_000
+
+
+class TooManyWitnesses(Exception):
+    """`max_hl_characters` would list more than `MAX_WITNESSES` witnesses."""
+
+
 @dataclass(frozen=True)
 class MaxHookWitness:
     nu: Partition
@@ -70,10 +79,17 @@ def gamma_partition(a: SkewDiagram) -> Partition:
 
 
 def max_hl_characters(a: SkewDiagram) -> MaxHookReport:
-    """All constituents whose hook length partition is maximal, with multiplicities."""
+    """All constituents whose hook length partition is maximal, with multiplicities.
+
+    Raises `TooManyWitnesses`, before listing any, when there are more than
+    `MAX_WITNESSES` of them.
+    """
     profiles = nw_labeling(a).profiles
     gamma = _gamma(profiles)
     ks = [p.k for p in profiles]
+    count = math.prod(ks)
+    if count > MAX_WITNESSES:
+        raise TooManyWitnesses(f"{count} witnesses, more than {MAX_WITNESSES}")
     witnesses = []
     for choice in itertools.product(*(range(k) for k in ks)):
         w_arms = [p.arm + c for p, c in zip(profiles, choice)]
@@ -87,7 +103,7 @@ def max_hl_characters(a: SkewDiagram) -> MaxHookReport:
         hl=hl,
         gamma=gamma,
         witnesses=tuple(witnesses),
-        distinct_count=math.prod(ks),
+        distinct_count=count,
         min_durfee=hl.length,
     )
 

@@ -9,9 +9,11 @@ lattice-filling search row by row but merges partial fillings that agree
 on everything later rows can see: the previous row's entries over the
 shared columns, which group the states, and the running content counts.
 The merge keeps multiplicities exact while collapsing the search tree.
-The final counts are partitions by construction, so its terms skip the
-constructors' validation.  `schubert_product` is that search with a box
-cap; `outer_product` still counts brute fillings per candidate shape.
+The final counts are partitions by construction, so the sum keeps the
+count tuples the search built, unvalidated; `CharacterSum.items()` and
+`support()` are what make `Partition` objects of them.  `schubert_product`
+is that search with a box cap; `outer_product` still counts brute fillings
+per candidate shape.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import islice
+from operator import itemgetter
 
 from .partitions import Partition, contains, partitions_of_weight_in_box
 from .skew import SkewDiagram, embed_disjoint
@@ -133,35 +136,41 @@ def brute_decompose(a: SkewDiagram, max_fillings: int | None = None) -> Characte
 class CharacterSum:
     """Decomposition into irreducibles: partitions of one weight with multiplicities.
 
-    Iteration is deterministic, lexicographically descending by partition.
+    Terms are kept as parts tuples, the form the search builds them in;
+    `items()` and `support()` wrap them as `Partition` objects.  Iteration
+    is deterministic, lexicographically descending by partition.
     """
 
     __slots__ = ("_weight", "_terms")
 
     def __init__(self, weight: int, terms: Mapping[Partition, int]):
         self._weight = int(weight)
-        self._terms: dict[Partition, int] = {}
+        self._terms: dict[tuple[int, ...], int] = {}
         for nu, mult in terms.items():
             if nu.weight != self._weight:
                 raise ValueError(f"term {nu} has weight {nu.weight}, expected {self._weight}")
             if not isinstance(mult, int) or mult < 1:
                 raise ValueError(f"multiplicity of {nu} must be a positive integer")
-            self._terms[nu] = mult
+            self._terms[nu.parts] = mult
 
     @property
     def weight(self) -> int:
         return self._weight
 
     @classmethod
-    def _trusted(cls, weight: int, terms: dict[Partition, int]) -> "CharacterSum":
-        """Adopt terms the caller built valid: right weight, positive multiplicities."""
+    def _trusted(cls, weight: int, terms: dict[tuple[int, ...], int]) -> "CharacterSum":
+        """Adopt parts tuples the caller built valid: partitions of the weight, mults >= 1."""
         cs = object.__new__(cls)
         cs._weight, cs._terms = weight, terms
         return cs
 
+    def _sorted_parts(self) -> list[tuple[tuple[int, ...], int]]:
+        # tuple order is the order of Partition.__lt__; keys are unique, and a
+        # C key function lets the sort compare parts tuples of ints directly
+        return sorted(self._terms.items(), key=itemgetter(0), reverse=True)
+
     def items(self) -> list[tuple[Partition, int]]:
-        # the key is the order of Partition.__lt__, without a call per comparison
-        return sorted(self._terms.items(), key=lambda term: term[0].parts, reverse=True)
+        return [(Partition._trusted(parts), mult) for parts, mult in self._sorted_parts()]
 
     def support(self) -> list[Partition]:
         return [nu for nu, _ in self.items()]
@@ -170,13 +179,13 @@ class CharacterSum:
         return sum(self._terms.values())
 
     def __getitem__(self, nu: Partition) -> int:
-        return self._terms.get(nu, 0)
+        return self._terms.get(nu.parts, 0)
 
     def __iter__(self) -> Iterator[Partition]:
         return iter(self.support())
 
     def __contains__(self, nu: Partition) -> bool:
-        return nu in self._terms
+        return nu.parts in self._terms
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -195,7 +204,7 @@ class CharacterSum:
         return {
             "weight": self._weight,
             "terms": [
-                {"partition": list(nu.parts), "mult": mult} for nu, mult in self.items()
+                {"partition": list(parts), "mult": mult} for parts, mult in self._sorted_parts()
             ],
         }
 
@@ -224,16 +233,17 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
             lows = [prev[k] + 1 if 0 <= k < len(prev) else 1 for k in cols]
             for counts, mult in group.items():
                 cnt = list(counts)
-                entries[width] = len(cnt) + 1
+                n = len(cnt)
+                entries[width] = n + 1
                 i, v = width - 1, lows[-1]
                 while True:
-                    n = len(cnt)
                     cap = entries[i + 1]
                     while 1 < v <= n and v <= cap and cnt[v - 2] <= cnt[v - 1]:
                         v += 1
                     if v <= cap:
                         if v > n:
                             cnt.append(1)
+                            n += 1
                         else:
                             cnt[v - 1] += 1
                         entries[i] = v
@@ -252,6 +262,7 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
                     cnt[v - 1] -= 1
                     if not cnt[v - 1]:
                         cnt.pop()
+                        n -= 1
                     v += 1
         if box:  # counts only grow, so a state outside the box stays outside
             k, l = box
@@ -263,8 +274,9 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
         groups, prev_a = new_groups, a
     # the last row keeps nothing, so at most one group is left.  Its counts
     # are partitions: lattice counts are positive and weakly decreasing.
-    terms = {Partition._trusted(counts): mult for counts, mult in groups.get((), {}).items()}
-    return CharacterSum._trusted(diagram.size, terms)
+    # A fresh copy, not the search's own dict: adopting that one measurably
+    # raised the peak memory of runs over large sums.
+    return CharacterSum._trusted(diagram.size, dict(groups.get((), {})))
 
 
 def _shapes_containing(base: Partition, added: int, max_first: int, max_len: int):

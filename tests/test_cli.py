@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import pathlib
@@ -7,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -204,9 +206,36 @@ class TestRun:
             alpha, beta = random_partition(rng, 4, 3), random_partition(rng, 4, 3)
             sums.append(outer_product(alpha, beta))
             sums.append(schubert_product(alpha, beta, rng.randint(1, 6), rng.randint(1, 6)))
+        disjoint = lambda n: SD(range(n, 0, -1), range(n - 1, 0, -1))
+        sums += [
+            decompose_skew(SD([1] * 25, ())),
+            decompose_skew(disjoint(12)),
+            decompose_skew(disjoint(25)),
+            decompose_skew(SD((), ())),
+            decompose_skew(SD((8, 7, 6, 5, 4, 3, 2, 1), (3, 2, 1))),
+            outer_product(P(130, 4), P(3, 1)),
+            decompose_skew(SD((250, 120, 3), (100, 2))),
+        ]
         assert any(cs.total_multiplicity() > len(cs) for cs in sums)
+        lengths = {nu.length for cs in sums for nu in cs.support()}
+        assert set(range(26)) <= lengths
+        assert max(nu[0] for cs in sums for nu in cs.support()) >= 100
+        assert max(m for cs in sums for _, m in cs.items()) >= 1000
         for cs in sums:
             assert cli._character_sum_json(cs) == json.dumps(cs.to_json_dict(), indent=2) + "\n"
+            assert CharacterSum(cs.weight, dict(cs.items())) == cs
+            assert cs.support() == sorted(cs.support(), reverse=True)
+
+    def test_json_makes_no_partition_per_term(self, monkeypatch):
+        def refused(cls, parts):
+            raise AssertionError("a term was wrapped in a Partition")
+
+        monkeypatch.setattr(Partition, "_trusted", classmethod(refused))
+        code, text = run(parse_args(["decompose", "--json", "7,6,5,4,3,2,1/3,2,1"]))
+        assert code == EXIT_OK and text.count('"mult"') == 102
+        # the output as written when every term went through a Partition
+        digest = "27693f3c34d20ee153fa6e174c50ed2bdb95b96ec9bfeb9f0c33d0041f929ec0"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_product_longer_than_recursion_limit(self):
         code, text = run(parse_args(["product", "1000", "1000"]))
@@ -253,6 +282,40 @@ class TestRun:
         # 25 boxes are left after the first ribbon is stripped
         argv = ["maxhook", "10^2,8^4,5^2 / 5^4", "--strip", "1", "--verify", "--max-boxes", "25"]
         assert run(parse_args(argv))[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # every layer of two disjoint 30 x 30 squares splits into 2 ribbons
+            ["maxhook", "60^30,30^30/30^30"],
+            ["maxhook", "60^30,30^30/30^30", "--json"],
+            ["durfee-product", "30^30", "30^30"],
+            ["durfee", "60^30,30^30/30^30"],
+        ],
+    )
+    def test_witness_list_refused_before_listing(self, argv):
+        start = time.perf_counter()
+        result = run(parse_args(argv))
+        assert time.perf_counter() - start < 2
+        assert result == (
+            EXIT_TOO_LARGE,
+            f"refusing witness list: {2**30} witnesses, more than {extremal.MAX_WITNESSES}",
+        )
+
+    def test_witness_limit(self, monkeypatch):
+        argv = ["maxhook", "8^2,7,4,3^2 / 4,3,2"]
+        monkeypatch.setattr(extremal, "MAX_WITNESSES", 6)
+        assert run(parse_args(argv))[0] == EXIT_OK
+        monkeypatch.setattr(extremal, "MAX_WITNESSES", 5)
+        assert run(parse_args(argv)) == (
+            EXIT_TOO_LARGE,
+            "refusing witness list: 6 witnesses, more than 5",
+        )
+        # the full expansion lists no max-hl witnesses, so the limit leaves it alone
+        monkeypatch.setattr(extremal, "MAX_WITNESSES", 0)
+        for argv in (["durfee-product", "2,1", "2,1"], ["durfee", "3,3,2/1,1"]):
+            assert run(parse_args(argv))[0] == EXIT_TOO_LARGE
+            assert run(parse_args(argv + ["--exhaustive"]))[0] == EXIT_OK
 
     @pytest.mark.parametrize(
         "argv, size",

@@ -1,8 +1,12 @@
 import random
 
+import pytest
+
 from skewchar import (
+    MAX_WITNESSES,
     Partition,
     SkewDiagram,
+    TooManyWitnesses,
     add_partitions,
     associated_diagram,
     decompose_skew,
@@ -17,6 +21,7 @@ from skewchar import (
     pi_min,
     principal_hook_lengths,
 )
+from skewchar import extremal
 
 from helpers import P, SD, random_partition, random_skew
 
@@ -116,6 +121,24 @@ class TestMaxHlCharacters:
             width = max((w.nu.length for w in report.witnesses), default=0)
             meet = Partition(min(w.nu[i] for w in report.witnesses) for i in range(width))
             assert meet == report.gamma
+
+
+    def test_witness_limit(self, monkeypatch):
+        # n x n squares side by side: n layers of 2 ribbons, 2^n witnesses
+        squares = lambda n: SD((2 * n,) * n + (n,) * n, (n,) * n)
+        report = max_hl_characters(squares(16))
+        assert len(report.witnesses) == report.distinct_count == 2**16 <= MAX_WITNESSES
+        frobenius_calls = []
+        original = extremal.from_frobenius
+
+        def counting(arms, legs):
+            frobenius_calls.append(arms)
+            return original(arms, legs)
+
+        monkeypatch.setattr(extremal, "from_frobenius", counting)
+        with pytest.raises(TooManyWitnesses, match=f"^{2**17} witnesses, more than {MAX_WITNESSES}$"):
+            max_hl_characters(squares(17))
+        assert len(frobenius_calls) == 1  # gamma, and no witness
 
 
 class TestOracleAgreement:

@@ -150,6 +150,7 @@ class TestCharacterSum:
     def test_lookup_defaults_to_zero(self):
         cs = CharacterSum(3, {P(3): 1})
         assert cs[P(2, 1)] == 0 and cs[P(3)] == 1
+        assert P(3) in cs and P(2, 1) not in cs
 
     def test_iteration_ends_after_the_support(self):
         # islice stops a sequence-protocol fallback, which would yield 0 forever
@@ -225,6 +226,7 @@ class TestDecompose:
             for nu, mult in cs.items():
                 assert Partition(nu.parts) == nu and hash(Partition(nu.parts)) == hash(nu)
                 assert isinstance(mult, int) and mult >= 1
+                assert cs[nu] == mult and nu in cs
             assert CharacterSum(cs.weight, dict(cs.items())) == cs
 
     def test_weight_conservation(self):
