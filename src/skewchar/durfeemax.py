@@ -9,7 +9,9 @@ rectangle; for those the ambient square for witness complements is (l^l),
 the same square that complements the outer partition.
 
 Witness lists on the non-exhaustive paths are certified lower bounds, not
-complete listings; `exhaustive=True` expands the full character instead.
+complete listings; `exhaustive=True` expands the full character instead:
+the brute-force oracle `brute_decompose` for a product, the merged search
+for a square-framed skew shape.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extremal import max_hl_characters, min_durfee
-from .lr import decompose_skew, outer_product, schubert_product
+from .lr import brute_decompose, decompose_skew, schubert_product
 from .partitions import Partition, contains, durfee
 from .skew import SkewDiagram, embed_disjoint
 
@@ -101,7 +103,7 @@ def max_durfee_product(
 ) -> DurfeeMaxReport:
     """Largest Durfee size among constituents of the product, with witnesses."""
     m, assoc = associated_diagram(alpha, beta)
-    return _durfee_report(m, assoc, exhaustive, lambda: outer_product(alpha, beta))
+    return _durfee_report(m, assoc, exhaustive, lambda: brute_decompose(embed_disjoint(alpha, beta)))
 
 
 def max_durfee_special_skew(a: SkewDiagram, exhaustive: bool = False) -> DurfeeMaxReport:

@@ -2,28 +2,30 @@
 
 `enumerate_lr_fillings` is a direct backtracking enumerator over the boxes
 in reverse-row-word order; it yields each filling as its reverse row word,
-the entries in that order.  `brute_decompose` counts its fillings once per
-candidate constituent; that expansion is the ground-truth oracle of the
-whole library, behind every `--verify`.  `decompose_skew` runs the same
-lattice-filling search row by row but merges partial fillings that agree
-on everything later rows can see: the previous row's entries over the
-shared columns, which group the states, and the running content counts.
+the entries in that order.  `brute_decompose` enumerates the fillings of
+every content in one pass and tallies their contents; that expansion is
+the ground-truth oracle of the whole library, behind every `--verify`.
+`decompose_skew` runs the same lattice-filling search row by row but
+merges partial fillings that agree on everything later rows can see: the
+previous row's entries over the shared columns, which group the states,
+and the running content counts.
 The merge keeps multiplicities exact while collapsing the search tree.
 The final counts are partitions by construction, so the sum keeps the
 count tuples the search built, unvalidated; `CharacterSum.items()` and
-`support()` are what make `Partition` objects of them.  `schubert_product`
-is that search with a box cap; `outer_product` still counts brute fillings
-per candidate shape.
+`support()` are what make `Partition` objects of them.  `outer_product` is
+that search on the two factors side by side, and `schubert_product` the
+same with a box cap: one engine, as in Buch's lrcalc, serves skew shapes
+and products.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterator, Mapping, Sequence
-from itertools import islice
+from itertools import groupby, islice
 from operator import itemgetter
 
-from .partitions import Partition, contains, partitions_of_weight_in_box
+from .partitions import Partition, contains
 from .skew import SkewDiagram, embed_disjoint
 
 
@@ -43,15 +45,18 @@ def is_lattice_word(word: Sequence[int]) -> bool:
     return True
 
 
-def enumerate_lr_fillings(shape: SkewDiagram, content: Partition) -> Iterator[tuple[int, ...]]:
-    """All LR fillings of the shape with the given content, by backtracking.
+def enumerate_lr_fillings(
+    shape: SkewDiagram, content: Partition | None = None
+) -> Iterator[tuple[int, ...]]:
+    """All LR fillings of the shape with the given content, or of any content, by backtracking.
 
     Each filling is yielded as its reverse row word: the entries row by
     row from the top, each row right to left.  With the shape, the word
     fixes the filling.  Boxes are filled in that order, smallest feasible
-    entry first, so the output order is deterministic.
+    entry first, so the output order is deterministic.  With no content,
+    an entry in row i is at most i and no value's count is capped.
     """
-    if shape.size != content.weight:
+    if content is not None and shape.size != content.weight:
         raise ValueError("content weight does not match the number of boxes")
     # per position in that order: the position of the box above it (-1 if
     # outside the shape) and whether the box to its right, always the
@@ -70,7 +75,7 @@ def enumerate_lr_fillings(shape: SkewDiagram, content: Partition) -> Iterator[tu
     if not total:
         yield ()
         return
-    caps = content.parts
+    caps = (total,) * shape.num_rows if content is None else content.parts
     n = len(caps)
     counts = [0] * n
     vals = [0] * total
@@ -113,23 +118,21 @@ class TooManyFillings(Exception):
 
 
 def brute_decompose(a: SkewDiagram, max_fillings: int | None = None) -> CharacterSum:
-    """Expansion by one LR filling count per candidate, independent of `decompose_skew`.
+    """Expansion by one enumeration of every LR filling, independent of `decompose_skew`.
 
-    A column holds at most one 1, so a constituent's first part is at most
-    the number of nonempty columns; by conjugation, its length is at most
-    the number of nonempty rows.  The work grows with the total
-    multiplicity, which the box count does not bound, so `max_fillings`
-    raises `TooManyFillings` as soon as more fillings than that are counted.
+    Each filling adds one to the multiplicity of its content.  The work
+    grows with the total multiplicity, which the box count does not bound,
+    so `max_fillings` raises `TooManyFillings` as soon as more fillings than
+    that are counted.
     """
-    terms: dict[Partition, int] = {}
-    left = max_fillings
-    for nu in partitions_of_weight_in_box(a.size, len(a.column_heights()), len(a.row_lengths())):
-        fillings = enumerate_lr_fillings(a, nu)
-        count = sum(1 for _ in (fillings if left is None else islice(fillings, left + 1)))
-        if left is not None and (left := left - count) < 0:
-            raise TooManyFillings(f"more than {max_fillings} LR fillings")
-        if count:
-            terms[nu] = count
+    words = enumerate_lr_fillings(a)
+    if max_fillings is not None:
+        words = islice(words, max_fillings + 1)
+    # a sorted word is its content, value by value: tally those at C speed
+    tally = Counter(map(tuple, map(sorted, words)))
+    if max_fillings is not None and sum(tally.values()) > max_fillings:
+        raise TooManyFillings(f"more than {max_fillings} LR fillings")
+    terms = {Partition(len(list(run)) for _, run in groupby(word)): c for word, c in tally.items()}
     return CharacterSum(a.size, terms)
 
 
@@ -279,46 +282,23 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
     return CharacterSum._trusted(diagram.size, dict(groups.get((), {})))
 
 
-def _shapes_containing(base: Partition, added: int, max_first: int, max_len: int):
-    """Partitions obtained from base by adding `added` boxes within the bounds."""
-    base_parts = base.parts
-
-    def rec(i, prev, rem):
-        if rem == 0:
-            yield base_parts[i:]
-            return
-        if i == max_len or prev == 0:
-            return
-        floor = base_parts[i] if i < len(base_parts) else 0
-        hi = min(prev, max_first, floor + rem)
-        for v in range(hi, max(floor, 1) - 1, -1):
-            yield from ((v,) + rest for rest in rec(i + 1, v, rem - (v - floor)))
-
-    yield from rec(0, max_first, added)
-
-
 def outer_product(alpha: Partition, beta: Partition) -> CharacterSum:
     """Decomposition of the induced product character of two irreducibles.
 
-    Candidates are the partitions extending the heavier factor by the
-    lighter one's weight inside the forced width/length bounds; each
-    multiplicity is an LR filling count, so the result is exact.
+    The product is the skew character of the two diagrams side by side,
+    which share no row or column; the heavier factor goes on top.
     """
-    base, content = (alpha, beta) if alpha.weight >= beta.weight else (beta, alpha)
-    max_first = alpha[0] + beta[0]
-    max_len = alpha.length + beta.length
-    terms: dict[Partition, int] = {}
-    for parts in _shapes_containing(base, content.weight, max_first, max_len):
-        nu = Partition(parts)
-        mult = sum(1 for _ in enumerate_lr_fillings(SkewDiagram(nu, base), content))
-        if mult:
-            terms[nu] = mult
-    return CharacterSum(alpha.weight + beta.weight, terms)
+    return decompose_skew(_product_diagram(alpha, beta))
 
 
 def schubert_product(alpha: Partition, beta: Partition, k: int, l: int) -> CharacterSum:
     """Outer product inside the k x l rectangle; the heavier factor's forced filling on top."""
     if k < 1 or l < 1:
         raise ValueError("rectangle sides must be positive")
+    return decompose_skew(_product_diagram(alpha, beta), box=(k, l))
+
+
+def _product_diagram(alpha: Partition, beta: Partition) -> SkewDiagram:
+    # on top, the heavier factor takes the forced filling 1s, 2s, ... row by row
     pair = (alpha, beta) if alpha.weight >= beta.weight else (beta, alpha)
-    return decompose_skew(embed_disjoint(*pair), box=(k, l))
+    return embed_disjoint(*pair)

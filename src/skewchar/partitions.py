@@ -155,8 +155,13 @@ def from_frobenius(arms: Iterable[int], legs: Iterable[int]) -> Partition:
                 raise ValueError(f"Frobenius coordinates must strictly decrease, got {seq}")
     rows = [arms[i] + i + 1 for i in range(d)]
     depth = legs[0] + 1 if d else 0
+    # row r below the diagonal holds the j with legs[j] + j >= r; that bound
+    # weakly decreases in j, so those j are a prefix that shrinks as r grows
+    j = d
     for r in range(d, depth):
-        rows.append(sum(1 for j in range(d) if legs[j] + j >= r))
+        while legs[j - 1] + j - 1 < r:
+            j -= 1
+        rows.append(j)
     return Partition(rows)
 
 

@@ -242,6 +242,13 @@ class TestRun:
         assert code == EXIT_OK
         assert text.startswith("weight 2000, 1001 terms\n  [2000]  1\n")
 
+    def test_product_of_a_long_row_and_column(self):
+        # a per-candidate product would list about p(1000) shapes for 2 terms
+        start = time.perf_counter()
+        result = run(parse_args(["product", "1000", "1^1000"]))
+        assert time.perf_counter() - start < 5
+        assert result == (EXIT_OK, "weight 2000, 2 terms\n  [1001,1^999]  1\n  [1000,1^1000]  1\n")
+
     def test_long_rows(self):
         for text, n in (("1200", 1200), ("1500/300", 1200)):
             code, out = run(parse_args(["decompose", text]))
@@ -508,13 +515,13 @@ class TestRun:
         assert calls == [cmd.diagrams[0]]
 
     def test_exhaustive_verify_needs_every_attainer(self, monkeypatch):
-        original = durfeemax.outer_product
+        original = durfeemax.brute_decompose
 
-        def dropping(alpha, beta):
-            full = original(alpha, beta)
+        def dropping(*args):
+            full = original(*args)
             return CharacterSum(full.weight, {nu: m for nu, m in full.items() if nu != P(2, 2, 1, 1)})
 
-        monkeypatch.setattr(durfeemax, "outer_product", dropping)
+        monkeypatch.setattr(durfeemax, "brute_decompose", dropping)
         argv = ["durfee-product", "2,1", "2,1", "--exhaustive"]
         code, text = run(parse_args(argv))
         assert code == EXIT_OK and "[2^2,1^2]" not in text

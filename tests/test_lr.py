@@ -96,6 +96,18 @@ class TestEnumerate:
                     expected.append(tuple(v for _, v in filling))
                 assert list(enumerate_lr_fillings(a, nu)) == expected
 
+    def test_any_content_is_every_content_in_turn(self):
+        # with no content: the fillings of each content in turn, interleaved
+        rng = random.Random(24)
+        for _ in range(40):
+            a = random_skew(rng, 5, 5, 9)
+            words = list(enumerate_lr_fillings(a))
+            assert len(set(words)) == len(words)
+            for nu in partitions_of_weight_in_box(a.size, a.size, a.size):
+                of_nu = [w for w in words if Counter(w) == Counter(dict(enumerate(nu.parts, 1)))]
+                assert of_nu == list(enumerate_lr_fillings(a, nu))
+        assert list(enumerate_lr_fillings(SD((3, 1), (3, 1)))) == [()]
+
     def test_shape_longer_than_recursion_limit(self):
         # 1100 boxes: the search must not take a stack frame per box
         a = SD((1650, 550), (1100,))
@@ -300,6 +312,27 @@ class TestBruteDecompose:
         with pytest.raises(TooManyFillings):
             brute_decompose(parse_skew("9,8,7,6,5,4,3,2,1/5,4,3,2,1"), 1000)
 
+    def test_one_enumeration_equals_the_per_candidate_counts(self, monkeypatch):
+        rng = random.Random(30)
+        calls = []
+        original = lr.enumerate_lr_fillings
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lr, "enumerate_lr_fillings", counting)
+        for _ in range(40):
+            a = random_skew(rng, 6, 6, 10)
+            calls.clear()
+            got = brute_decompose(a)
+            assert calls == [(a,)]
+            counts = {
+                nu: sum(1 for _ in original(a, nu))
+                for nu in partitions_of_weight_in_box(a.size, a.size, a.size)
+            }
+            assert got == CharacterSum(a.size, {nu: c for nu, c in counts.items() if c})
+
     def test_candidate_bound_loses_nothing(self):
         # every partition of |A| as a candidate, against the row/column bound
         rng = random.Random(26)
@@ -335,6 +368,16 @@ class TestOuterProduct:
         assert dict(outer_product(P(2, 1), Partition()).items()) == {P(2, 1): 1}
         assert dict(outer_product(Partition(), Partition()).items()) == {Partition(): 1}
 
+    def test_needs_no_brute_enumeration(self, monkeypatch):
+        expected = brute_decompose(embed_disjoint(P(3, 2), P(2, 2, 1)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute enumeration called")
+
+        monkeypatch.setattr(lr, "enumerate_lr_fillings", refuse)
+        assert outer_product(P(3, 2), P(2, 2, 1)) == expected
+        assert outer_product(P(2, 2, 1), P(3, 2)) == expected
+
     def test_symmetry_and_embedding_law(self):
         rng = random.Random(25)
         for _ in range(30):
@@ -342,7 +385,7 @@ class TestOuterProduct:
             b = random_partition(rng, 4, 3)
             left = outer_product(a, b)
             assert left == outer_product(b, a)
-            assert left == decompose_skew(embed_disjoint(a, b))
+            assert left == brute_decompose(embed_disjoint(a, b))
 
 
 class TestSchubert:
@@ -357,19 +400,19 @@ class TestSchubert:
             a = random_partition(rng, 4, 3)
             b = random_partition(rng, 4, 3)
             k, l = a[0] + b[0], a.length + b.length
-            assert schubert_product(a, b, max(k, 1), max(l, 1)) == outer_product(a, b)
+            assert schubert_product(a, b, max(k, 1), max(l, 1)) == brute_decompose(embed_disjoint(a, b))
 
     def test_equals_the_filtered_outer_product(self):
         rng = random.Random(29)
         shapes = [nu for n in range(8) for nu in partitions_of_weight_in_box(n, n, n)]
         for a, b in itertools.product(shapes, repeat=2):
-            full = outer_product(a, b)
+            full = brute_decompose(embed_disjoint(a, b))
             k, l = rng.randint(1, a[0] + b[0] + 1), rng.randint(1, a.length + b.length + 1)
             kept = {nu: m for nu, m in full.items() if nu[0] <= k and nu.length <= l}
             assert schubert_product(a, b, k, l) == CharacterSum(full.weight, kept)
 
     def test_needs_no_brute_enumeration(self, monkeypatch):
-        full = outer_product(P(3, 2), P(2, 2, 1))
+        full = brute_decompose(embed_disjoint(P(3, 2), P(2, 2, 1)))
         expected = {nu: m for nu, m in full.items() if nu[0] <= 4 and nu.length <= 4}
         assert verify_complementation(P(2, 1), P(4, 3, 1), 4, 3)
 

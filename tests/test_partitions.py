@@ -157,6 +157,14 @@ class TestFrobenius:
         arms, legs = frobenius_coordinates(p)
         assert from_frobenius(arms, legs) == p
 
+    def test_round_trip_every_partition_up_to_14(self):
+        count = 0
+        for n in range(15):
+            for p in partitions_of_weight_in_box(n, n, n):
+                assert from_frobenius(*frobenius_coordinates(p)) == p
+                count += 1
+        assert count == 508  # p(0) + p(1) + ... + p(14)
+
     def test_rejects_non_decreasing(self):
         with pytest.raises(ValueError):
             from_frobenius((2, 2), (1, 0))
