@@ -41,7 +41,6 @@ from .lr import (
     brute_decompose,
     decompose_skew,
     enumerate_lr_fillings,
-    is_lattice_word,
     lr_coefficient,
     outer_product,
     schubert_product,
@@ -49,7 +48,6 @@ from .lr import (
 from .partitions import (
     GrammarError,
     Partition,
-    add_partitions,
     conjugate,
     contains,
     durfee,
@@ -57,10 +55,8 @@ from .partitions import (
     format_partition,
     frobenius_coordinates,
     from_frobenius,
-    lex_compare,
     parse_partition,
     partitions_in_box,
-    partitions_of_weight_in_box,
     principal_hook_lengths,
     subpartitions,
 )
@@ -69,6 +65,7 @@ from .ribbons import (
     RibbonLabeling,
     RibbonProfile,
     nw_labeling,
+    nw_layers,
     pi_nw,
     ribbon_profile,
     strip_nw_ribbons,

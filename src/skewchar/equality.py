@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .lr import decompose_skew
 from .partitions import Partition
-from .ribbons import nw_labeling
+from .ribbons import nw_layers
 from .skew import SkewDiagram, components, rotate180
 
 CONDITIONS = ("pi_nw", "ribbon_count", "arm_leg")
@@ -77,7 +77,7 @@ class EqualityReport:
 def necessary_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:
     """Compare ribbon data of both diagrams at every stripping level.
 
-    Level t compares the suffixes ``profiles[t:]`` of one labeling per
+    Level t compares the suffixes ``profiles[t:]`` of one `nw_layers` per
     diagram.  Identity: stripping the first t northwest ribbons and
     relabeling gives the level-0 layers t+1, t+2, ... with every index
     lowered by t.  Proof: a box labeled v > t ends a northwest diagonal
@@ -85,7 +85,7 @@ def necessary_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:
     boxes, so its new label is v - t.  Layer data ignore translation, so
     no normalization is needed.
     """
-    pa, pb = nw_labeling(a).profiles, nw_labeling(b).profiles
+    pa, pb = nw_layers(a)[1], nw_layers(b)[1]
     if len(pa) != len(pb):
         # suffixes of different lengths never agree
         flags = [(False, False, False)] * (min(len(pa), len(pb)) + 1)

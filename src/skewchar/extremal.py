@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .partitions import Partition, conjugate, from_frobenius
-from .ribbons import RibbonProfile, nw_labeling
+from .ribbons import RibbonProfile, nw_layers
 from .skew import SkewDiagram
 
 
@@ -58,7 +58,7 @@ class MaxHookReport:
 
 def hl_of_skew(a: SkewDiagram) -> Partition:
     """Lexicographically largest principal hook length partition in the character."""
-    return nw_labeling(a).pi_nw
+    return nw_layers(a)[0]
 
 
 def _checked_frobenius(arms: list[int], legs: list[int], what: str) -> Partition:
@@ -75,7 +75,7 @@ def _gamma(profiles: tuple[RibbonProfile, ...]) -> Partition:
 
 def gamma_partition(a: SkewDiagram) -> Partition:
     """Intersection of all constituents with maximal hook length partition."""
-    return _gamma(nw_labeling(a).profiles)
+    return _gamma(nw_layers(a)[1])
 
 
 def max_hl_characters(a: SkewDiagram) -> MaxHookReport:
@@ -84,7 +84,7 @@ def max_hl_characters(a: SkewDiagram) -> MaxHookReport:
     Raises `TooManyWitnesses`, before listing any, when there are more than
     `MAX_WITNESSES` of them.
     """
-    profiles = nw_labeling(a).profiles
+    hl, profiles = nw_layers(a)
     gamma = _gamma(profiles)
     ks = [p.k for p in profiles]
     count = math.prod(ks)
@@ -98,7 +98,6 @@ def max_hl_characters(a: SkewDiagram) -> MaxHookReport:
         mult = math.prod(math.comb(ks[i] - 1, choice[i]) for i in range(len(ks)))
         witnesses.append(MaxHookWitness(nu, mult, tuple(choice)))
     witnesses.sort(key=lambda w: w.nu.parts, reverse=True)
-    hl = Partition(p.size for p in profiles)
     return MaxHookReport(
         hl=hl,
         gamma=gamma,

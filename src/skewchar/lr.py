@@ -21,28 +21,12 @@ and products.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from itertools import groupby, islice
 from operator import itemgetter
 
 from .partitions import Partition, contains
 from .skew import SkewDiagram, embed_disjoint
-
-
-def is_lattice_word(word: Sequence[int]) -> bool:
-    """Every prefix holds at least as many i as i+1, for every i >= 1."""
-    counts: list[int] = []
-    for v in word:
-        if v < 1:
-            raise ValueError("lattice words consist of positive integers")
-        if v > len(counts) + 1:
-            return False
-        if v == len(counts) + 1:
-            counts.append(0)
-        if v > 1 and counts[v - 2] <= counts[v - 1]:
-            return False
-        counts[v - 1] += 1
-    return True
 
 
 def enumerate_lr_fillings(

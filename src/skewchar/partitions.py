@@ -78,9 +78,6 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self._parts)
 
-    def __add__(self, other: "Partition") -> "Partition":
-        return add_partitions(self, other)
-
     def __repr__(self) -> str:
         return f"Partition({list(self._parts)})"
 
@@ -93,18 +90,6 @@ def conjugate(p: Partition) -> Partition:
     if not p:
         return Partition()
     return Partition(sum(1 for x in p if x > j) for j in range(p[0]))
-
-
-def add_partitions(mu: Partition, nu: Partition) -> Partition:
-    """Componentwise sum, missing parts read as 0."""
-    return Partition(mu[i] + nu[i] for i in range(max(mu.length, nu.length)))
-
-
-def lex_compare(mu: Partition, nu: Partition) -> int:
-    """-1, 0 or 1 as mu is lexicographically smaller, equal or greater."""
-    if mu.parts == nu.parts:
-        return 0
-    return -1 if mu.parts < nu.parts else 1
 
 
 def contains(mu: Partition, lam: Partition) -> bool:
@@ -222,25 +207,6 @@ def partitions_in_box(k: int, l: int) -> Iterator[Partition]:
                 yield (p,) + rest
 
     for parts in rec(k, l):
-        yield Partition(parts)
-
-
-def partitions_of_weight_in_box(n: int, k: int, l: int) -> Iterator[Partition]:
-    """All partitions of n with first part at most k and at most l parts."""
-
-    def rec(n, maxpart, rows):
-        if n == 0:
-            yield ()
-            return
-        if rows == 0:
-            return
-        for p in range(min(n, maxpart), 0, -1):
-            if p * rows < n:
-                break
-            for rest in rec(n - p, p, rows - 1):
-                yield (p,) + rest
-
-    for parts in rec(n, k, l):
         yield Partition(parts)
 
 

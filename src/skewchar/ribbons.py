@@ -23,14 +23,27 @@ boxes, and two ribbons share no row or column.  Summed over a layer of
 
     k = rows + cols - size,  arm = size - rows,  leg = size - cols.
 
-`nw_labeling` counts, per layer, the boxes, the rows met (boxes whose left
-neighbour carries another label) and the columns met (the same for the
-upper neighbour) in one pass over the rows, whose label lists it keeps.
+No box needs a label to find these counts.  With rows (inner_i, outer_i],
+box (i, j) has label at least v exactly when (i - t, j - t) lies in the
+diagram for every t < v.  The bound inner_{i-t} + t strictly increases
+with t and j <= outer_i keeps every outer bound, so the boxes labeled v or
+more form the skew shape A_v with rows
+
+    (inner_{i-v+1} + v - 1, outer_i],  i >= v.
+
+Layer v is A_v minus A_{v+1}, so its size is |A_v| - |A_{v+1}|.  It meets
+exactly the nonempty rows of A_v: the leftmost box of such a row is
+labeled v, since inner_{i-v} >= inner_{i-v+1} (or i = v).  It meets
+exactly the nonempty columns of A_v, by the same argument on the topmost
+box.  Both ends of the rows of A_v weakly decrease downward, so the next
+nonempty row below a row (a, b] covers its columns up to its own end b',
+and the row adds b - max(a, b') new columns.  A row of A_v is nonempty
+only if outer_i >= v, so `nw_layers` visits no more rows in all than the
+outer partition has boxes, and stops at the first empty A_v.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .partitions import Partition
@@ -58,10 +71,45 @@ class RibbonLabeling:
     profiles: tuple[RibbonProfile, ...]
 
 
+def nw_layers(a: SkewDiagram) -> tuple[Partition, tuple[RibbonProfile, ...]]:
+    """pi_nw and the layer profiles, from the rows of each A_v; no box is labeled."""
+    outer = a.outer.parts
+    inner = a.inner.parts + (0,) * (len(outer) - a.inner.length)
+    counts: list[tuple[int, int, int]] = []  # per A_v: boxes, nonempty rows, nonempty columns
+    m = len(outer)  # rows 1..m have outer_i >= v
+    for v in range(1, m + 1):
+        while m and outer[m - 1] < v:
+            m -= 1
+        boxes = rows = cols = below = 0
+        shift = v - 1
+        # bottom up, rows v..m of A_v: inner_{i-v+1} + v - 1 against outer_i
+        for lo, hi in zip(reversed(inner[: m - shift]), reversed(outer[shift:m])):
+            lo += shift
+            if lo < hi:
+                boxes += hi - lo
+                rows += 1
+                cols += hi - (lo if lo > below else below)
+                below = hi
+        if not boxes:
+            break
+        counts.append((boxes, rows, cols))
+    sizes = [n - nxt for (n, _, _), (nxt, _, _) in zip(counts, counts[1:] + [(0, 0, 0)])]
+    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
+        raise AssertionError(f"northwest ribbon sizes are not weakly decreasing: {sizes}")
+    # from a list: a generator's tuple is resized and leaves blocks on the free lists
+    profiles = tuple([
+        RibbonProfile(index=level, size=n, k=r + c - n, arm=n - r, leg=n - c)
+        for level, (n, (_, r, c)) in enumerate(zip(sizes, counts), 1)
+    ])
+    for p in profiles:
+        if p.k < 1 or p.arm < 0 or p.leg < 0:
+            raise AssertionError(f"inconsistent ribbon layer {p}")
+    return Partition(sizes), profiles
+
+
 def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
     """Label every box with its northwest ribbon index."""
     rows: list[list[int]] = []
-    counts: list[list[int]] = []  # per layer: boxes, rows met, columns met
     above: list[int] = []  # labels of the row above, from column plo + 1 on
     plo = a.num_cols  # row 0 is empty at full width
     for i in range(1, a.num_rows + 1):
@@ -69,47 +117,29 @@ def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
         # lo <= plo and hi <= plo + len(above): exactly the boxes right of
         # column plo + 1 have a northwest neighbour
         row = [1] * (min(hi, plo + 1) - lo) + [v + 1 for v in above[: max(0, hi - plo - 1)]]
-        for j, v in enumerate(row, lo + 1):
-            if v > len(counts):
-                counts.append([0, 0, 0])
-            layer = counts[v - 1]
-            layer[0] += 1
-            layer[1] += j == lo + 1 or v != row[j - lo - 2]
-            layer[2] += j <= plo or v != above[j - plo - 1]
         rows.append(row)
         above, plo = row, lo
-    sizes = [n for n, _, _ in counts]
-    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-        raise AssertionError(f"northwest ribbon sizes are not weakly decreasing: {sizes}")
-    # from a list: a generator's tuple is resized and leaves blocks on the free lists
-    profiles = tuple([
-        RibbonProfile(index=level, size=n, k=r + c - n, arm=n - r, leg=n - c)
-        for level, (n, r, c) in enumerate(counts, 1)
-    ])
-    for p in profiles:
-        if p.k < 1 or p.arm < 0 or p.leg < 0:
-            raise AssertionError(f"inconsistent ribbon layer {p}")
-    return RibbonLabeling(a, rows, Partition(sizes), profiles)
+    return RibbonLabeling(a, rows, *nw_layers(a))
 
 
 def pi_nw(a: SkewDiagram) -> Partition:
     """Northwest ribbon length partition: the i-th part is the size of layer i."""
-    return nw_labeling(a).pi_nw
+    return nw_layers(a)[0]
 
 
 def ribbon_profile(a: SkewDiagram, i: int) -> RibbonProfile:
     """Profile of the i-th layer (1-based)."""
-    profiles = nw_labeling(a).profiles
+    profiles = nw_layers(a)[1]
     if not 1 <= i <= len(profiles):
         raise ValueError(f"ribbon index {i} out of range 1..{len(profiles)}")
     return profiles[i - 1]
 
 
 def strip_nw_ribbons(a: SkewDiagram, t: int) -> SkewDiagram:
-    """Remove the first t northwest ribbons and normalize what remains."""
-    labeling = nw_labeling(a)
-    if not 0 <= t <= len(labeling.profiles):
-        raise ValueError(f"cannot strip {t} ribbons from {len(labeling.profiles)} layers")
-    # labels weakly increase along a row (the Lemma): the stripped boxes are a prefix
-    inner = Partition(a.inner[i] + bisect_right(row, t) for i, row in enumerate(labeling.rows))
-    return normalize(SkewDiagram(a.outer, inner))
+    """Remove the first t northwest ribbons and normalize what remains: A_{t+1}."""
+    depth = len(nw_layers(a)[1])
+    if not 0 <= t <= depth:
+        raise ValueError(f"cannot strip {t} ribbons from {depth} layers")
+    outer = a.outer
+    inner = Partition(outer[i] if i < t else min(outer[i], a.inner[i - t] + t) for i in range(outer.length))
+    return normalize(SkewDiagram(outer, inner))

@@ -13,7 +13,6 @@ from skewchar import (
     RibbonLabeling,
     RibbonProfile,
     SkewDiagram,
-    is_lattice_word,
     normalize,
     nw_labeling,
     strip_nw_ribbons,
@@ -28,6 +27,53 @@ def P(*parts: int) -> Partition:
 
 def SD(outer, inner=()) -> SkewDiagram:
     return SkewDiagram(Partition(outer), Partition(inner))
+
+
+def add_partitions(mu: Partition, nu: Partition) -> Partition:
+    """Componentwise sum, missing parts read as 0."""
+    return Partition(mu[i] + nu[i] for i in range(max(mu.length, nu.length)))
+
+
+def lex_compare(mu: Partition, nu: Partition) -> int:
+    """-1, 0 or 1 as mu is lexicographically smaller, equal or greater."""
+    if mu.parts == nu.parts:
+        return 0
+    return -1 if mu.parts < nu.parts else 1
+
+
+def partitions_of_weight_in_box(n: int, k: int, l: int):
+    """All partitions of n with first part at most k and at most l parts."""
+
+    def rec(n, maxpart, rows):
+        if n == 0:
+            yield ()
+            return
+        if rows == 0:
+            return
+        for p in range(min(n, maxpart), 0, -1):
+            if p * rows < n:
+                break
+            for rest in rec(n - p, p, rows - 1):
+                yield (p,) + rest
+
+    for parts in rec(n, k, l):
+        yield Partition(parts)
+
+
+def is_lattice_word(word) -> bool:
+    """Every prefix holds at least as many i as i+1, for every i >= 1."""
+    counts: list[int] = []
+    for v in word:
+        if v < 1:
+            raise ValueError("lattice words consist of positive integers")
+        if v > len(counts) + 1:
+            return False
+        if v == len(counts) + 1:
+            counts.append(0)
+        if v > 1 and counts[v - 2] <= counts[v - 1]:
+            return False
+        counts[v - 1] += 1
+    return True
 
 
 def random_partition(rng: random.Random, max_part: int, max_len: int) -> Partition:

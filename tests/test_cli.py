@@ -175,9 +175,14 @@ class TestParse:
 
 def _with_layer(labeling, index, **change):
     """The labeling with one layer profile changed."""
-    profiles = list(labeling.profiles)
+    return dataclasses.replace(labeling, profiles=_changed(labeling.profiles, index, **change))
+
+
+def _changed(profiles, index, **change):
+    """The profiles with the one at `index` changed."""
+    profiles = list(profiles)
     profiles[index] = dataclasses.replace(profiles[index], **change)
-    return dataclasses.replace(labeling, profiles=tuple(profiles))
+    return tuple(profiles)
 
 
 class TestRun:
@@ -696,8 +701,13 @@ class TestMainEntry:
     )
     def test_maxhook_frobenius_failure_is_internal(self, monkeypatch, capsys, change, message):
         # "4,4,3/1" has layer arms (3, 2), legs (2, 1) and one ribbon per layer
-        original = extremal.nw_labeling
-        monkeypatch.setattr(extremal, "nw_labeling", lambda a: _with_layer(original(a), 1, **change))
+        original = extremal.nw_layers
+
+        def broken(a):
+            pi, profiles = original(a)
+            return pi, _changed(profiles, 1, **change)
+
+        monkeypatch.setattr(extremal, "nw_layers", broken)
         assert cli.main(["maxhook", "4,4,3/1"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -13,7 +13,7 @@ from skewchar import (
     max_durfee_product,
     max_durfee_special_skew,
     min_durfee,
-    nw_labeling,
+    nw_layers,
     outer_product,
     verify_complementation,
 )
@@ -102,9 +102,9 @@ class TestMaxDurfeeProduct:
 
         def counting(a):
             calls.append(a)
-            return nw_labeling(a)
+            return nw_layers(a)
 
-        monkeypatch.setattr(extremal, "nw_labeling", counting)
+        monkeypatch.setattr(extremal, "nw_layers", counting)
         for exhaustive in (False, True):
             calls.clear()
             report = max_durfee_product(P(5, 5, 3, 3, 2), P(4, 3, 1, 1), exhaustive=exhaustive)

@@ -57,13 +57,13 @@ class TestStructural:
 
     def test_matches_per_level_reference(self, monkeypatch):
         calls = []
-        labeling = equality.nw_labeling
+        layers = equality.nw_layers
 
         def counted(d):
             calls.append(d)
-            return labeling(d)
+            return layers(d)
 
-        monkeypatch.setattr(equality, "nw_labeling", counted)
+        monkeypatch.setattr(equality, "nw_layers", counted)
         rng = random.Random(65)
         pairs = [(PAIR_A, PAIR_B)]
         while len(pairs) < 150:

@@ -7,7 +7,6 @@ from skewchar import (
     Partition,
     SkewDiagram,
     TooManyWitnesses,
-    add_partitions,
     associated_diagram,
     decompose_skew,
     durfee,
@@ -23,7 +22,7 @@ from skewchar import (
 )
 from skewchar import extremal
 
-from helpers import P, SD, random_partition, random_skew
+from helpers import P, SD, add_partitions, random_partition, random_skew
 
 
 class TestHlOfSkew:

@@ -15,12 +15,10 @@ from skewchar import (
     embed_disjoint,
     enumerate_lr_fillings,
     first_hook_strip,
-    is_lattice_word,
     lr_coefficient,
     normalize,
     outer_product,
     parse_skew,
-    partitions_of_weight_in_box,
     rotate180,
     schubert_product,
     translate,
@@ -31,7 +29,9 @@ from skewchar import lr
 from helpers import (
     P,
     SD,
+    is_lattice_word,
     is_lr_tableau,
+    partitions_of_weight_in_box,
     random_partition,
     random_skew,
     random_subpartition,

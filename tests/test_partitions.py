@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from skewchar import (
     GrammarError,
     Partition,
-    add_partitions,
     conjugate,
     contains,
     durfee,
@@ -13,16 +12,14 @@ from skewchar import (
     format_partition,
     frobenius_coordinates,
     from_frobenius,
-    lex_compare,
     parse_partition,
     partitions_in_box,
-    partitions_of_weight_in_box,
     principal_hook_lengths,
     subpartitions,
 )
 from skewchar.partitions import MAX_PARTS
 
-from helpers import P
+from helpers import P, add_partitions, lex_compare, partitions_of_weight_in_box
 
 partitions_st = st.lists(st.integers(1, 9), max_size=6).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -86,7 +83,7 @@ class TestAdd:
         assert add_partitions(P(2, 1), Partition()) == P(2, 1)
 
     def test_uneven_lengths(self):
-        assert P(1, 1) + P(1) == P(2, 1)
+        assert add_partitions(P(1, 1), P(1)) == P(2, 1)
 
 
 class TestDurfee:

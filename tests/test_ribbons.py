@@ -7,20 +7,27 @@ from hypothesis import strategies as st
 from skewchar import (
     Partition,
     SkewDiagram,
-    add_partitions,
     components,
     first_hook_strip,
+    max_durfee_product,
+    max_durfee_special_skew,
+    max_hl_characters,
+    min_durfee,
+    necessary_conditions,
     nw_labeling,
+    nw_layers,
     pi_nw,
     principal_hook_lengths,
     render_labels,
     ribbon_profile,
     strip_nw_ribbons,
 )
+from skewchar import ribbons
 
 from helpers import (
     P,
     SD,
+    add_partitions,
     flood_fill_profiles,
     label_grid_by_labels,
     label_map,
@@ -162,15 +169,17 @@ def skew_diagrams(draw):
 
 
 class TestCountingPass:
-    """`nw_labeling` counts rows and columns met; the reference flood-fills each layer.
+    """`nw_layers` reads each layer off the row spans of A_v; the reference labels every box.
 
-    Stripping and the label grid, which read the labeling's rows, are
-    pinned to their former code on the reference's box -> label map.
+    The reference flood-fills each layer of its box -> label map.  The
+    labels of `nw_labeling`, stripping (A_{t+1} from the spans) and the
+    label grid are pinned to the reference's map as well.
     """
 
     def _assert_matches_reference(self, a):
         labeling = nw_labeling(a)
         labels, sizes, profiles = flood_fill_profiles(a)
+        assert nw_layers(a) == (Partition(sizes), profiles)
         assert label_map(labeling) == labels
         assert list(labeling.pi_nw.parts) == sizes
         assert labeling.profiles == profiles
@@ -198,9 +207,40 @@ class TestCountingPass:
             assert a.size >= 1000
             self._assert_matches_reference(a)
 
+    def test_matches_flood_fill_on_a_tall_shape(self):
+        # 30 layers over 630 rows; 600 rows lie in no layer past the first
+        a = SD((30,) * 30 + (1,) * 600)
+        assert pi_nw(a).length == 30
+        self._assert_matches_reference(a)
+
     @given(skew_diagrams())
     def test_labels_weakly_increase_along_rows_and_columns(self, a):
         labels = label_map(nw_labeling(a))
         for (r, c), v in labels.items():
             assert labels.get((r, c + 1), v) >= v
             assert labels.get((r + 1, c), v) >= v
+
+
+def test_layer_data_label_no_box(monkeypatch):
+    """Every reader of layer data works from the spans, not from `nw_labeling`."""
+    a, b = RIBBON_PAIR
+    framed = SD((3, 3, 2), (1, 1))
+    calls = [
+        lambda: pi_nw(a),
+        lambda: ribbon_profile(a, 3),
+        lambda: necessary_conditions(a, b),
+        lambda: max_hl_characters(a),
+        lambda: min_durfee(a),
+        lambda: max_durfee_product(P(5, 5, 3, 3, 2), P(4, 3, 1, 1)),
+        lambda: max_durfee_product(P(5, 5, 3, 3, 2), P(4, 3, 1, 1), exhaustive=True),
+        lambda: max_durfee_special_skew(framed),
+        lambda: max_durfee_special_skew(framed, exhaustive=True),
+        lambda: strip_nw_ribbons(a, 2),
+    ]
+    expected = [call() for call in calls]
+
+    def refused(a):
+        raise AssertionError("a box was labeled")
+
+    monkeypatch.setattr(ribbons, "nw_labeling", refused)
+    assert [call() for call in calls] == expected
