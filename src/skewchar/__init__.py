@@ -53,7 +53,6 @@ from .partitions import (
     durfee,
     first_hook_strip,
     format_partition,
-    frobenius_coordinates,
     from_frobenius,
     parse_partition,
     partitions_in_box,

@@ -4,7 +4,7 @@ Exit codes: 0 success (or equality not excluded), 1 usage error,
 2 domain precondition failure, 3 definitively unequal (eqcheck),
 4 structural failure (eqcheck), 5 verification mismatch, 6 oracle run
 refused because the instance exceeds --max-boxes or the oracle counts more
-than ORACLE_MAX_FILLINGS LR fillings, or a max-hl witness list refused for
+than lr.MAX_FILLINGS LR fillings, or a max-hl witness list refused for
 holding more than extremal.MAX_WITNESSES witnesses, 7 internal error (an
 invariant of the computation failed; a bug, never an input problem).
 """
@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .durfeemax import DurfeeMaxReport, max_durfee_product, max_durfee_special_skew
 from .equality import check_equality
@@ -49,29 +48,9 @@ EXIT_VERIFY = 5
 EXIT_TOO_LARGE = 6
 EXIT_INTERNAL = 7
 
-# --verify refuses once the oracle counts more LR fillings than this;
-# --max-boxes does not bound their number
-ORACLE_MAX_FILLINGS = 500_000
-
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class Command:
-    verb: str
-    diagrams: list[SkewDiagram] = field(default_factory=list)
-    partitions: list[Partition] = field(default_factory=list)
-    json_out: bool = False
-    verify: bool = False
-    exhaustive: bool = False
-    full: bool = False
-    labels: bool = False
-    box: tuple[int, int] | None = None
-    strip: int = 0
-    # None for the verbs without --max-boxes, which run no refusable oracle
-    max_boxes: int | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,6 +61,10 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="skewchar", description="Exact skew character computations")
+    # the flags a verb may lack; max_boxes None: the verb runs no refusable oracle
+    parser.set_defaults(
+        verify=False, exhaustive=False, full=False, labels=False, box=None, strip=0, max_boxes=None
+    )
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
     def common(sp, *, verify=True, max_boxes=True, strip=False, exhaustive=False):
@@ -146,16 +129,13 @@ def _parsed(parse, text: str):
         raise UsageError(str(exc)) from exc
 
 
-def parse_args(argv: list[str]) -> Command:
-    ns = _build_parser().parse_args(argv)
-    cmd = Command(verb=ns.verb)
-    for attr in ("json_out", "verify", "exhaustive", "full", "labels", "strip", "max_boxes"):
-        if hasattr(ns, attr):
-            setattr(cmd, attr, getattr(ns, attr))
-    if getattr(ns, "box", None) is not None:
-        pieces = "".join(ns.box.split()).split(",")
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed namespace, with `diagrams`, `partitions` and `box` converted."""
+    cmd = _build_parser().parse_args(argv)
+    if cmd.box is not None:
+        pieces = "".join(cmd.box.split()).split(",")
         if len(pieces) != 2 or not all(p.isdigit() and p for p in pieces):
-            raise UsageError(f"--box expects K,L with positive integers, got {ns.box!r}")
+            raise UsageError(f"--box expects K,L with positive integers, got {cmd.box!r}")
         k, l = int(pieces[0]), int(pieces[1])
         if k < 1 or l < 1:
             raise UsageError("--box sides must be positive")
@@ -163,14 +143,11 @@ def parse_args(argv: list[str]) -> Command:
     for flag, value in (("--strip", cmd.strip), ("--max-boxes", cmd.max_boxes or 0)):
         if value < 0:
             raise UsageError(f"{flag} must not be negative, got {value}")
-    for attr in ("diagram", "a", "b"):
-        if hasattr(ns, attr):
-            cmd.diagrams.append(_parsed(parse_skew, getattr(ns, attr)))
+    given = vars(cmd)
+    cmd.diagrams = [_parsed(parse_skew, given[k]) for k in ("diagram", "a", "b") if k in given]
     if cmd.strip:
         cmd.diagrams[0] = strip_nw_ribbons(cmd.diagrams[0], cmd.strip)
-    for attr in ("alpha", "beta"):
-        if hasattr(ns, attr):
-            cmd.partitions.append(_parsed(parse_partition, getattr(ns, attr)))
+    cmd.partitions = [_parsed(parse_partition, given[k]) for k in ("alpha", "beta") if k in given]
     return cmd
 
 
@@ -202,15 +179,14 @@ def _character_sum_text(cs: CharacterSum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _oracle(cmd: Command) -> CharacterSum:
-    """The independent full expansion that every --verify compares against."""
-    a = cmd.diagrams[0] if cmd.diagrams else embed_disjoint(*cmd.partitions)
-    return brute_decompose(a, ORACLE_MAX_FILLINGS)
+def _oracle_diagram(cmd: argparse.Namespace) -> SkewDiagram:
+    """What the oracle expands: the one diagram, or the two factors of a product."""
+    return cmd.diagrams[0] if cmd.diagrams else embed_disjoint(*cmd.partitions)
 
 
-def _character_sum_result(cmd: Command, cs: CharacterSum) -> tuple[int, str]:
+def _character_sum_result(cmd: argparse.Namespace, cs: CharacterSum) -> tuple[int, str]:
     if cmd.verify:
-        expected = _oracle(cmd)
+        expected = brute_decompose(_oracle_diagram(cmd))
         if cmd.box:
             k, l = cmd.box
             kept = {nu: m for nu, m in expected.items() if nu[0] <= k and nu.length <= l}
@@ -220,15 +196,15 @@ def _character_sum_result(cmd: Command, cs: CharacterSum) -> tuple[int, str]:
     return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
 
 
-def _run_decompose(cmd: Command) -> tuple[int, str]:
+def _run_decompose(cmd: argparse.Namespace) -> tuple[int, str]:
     return _character_sum_result(cmd, decompose_skew(cmd.diagrams[0]))
 
 
-def _run_product(cmd: Command) -> tuple[int, str]:
+def _run_product(cmd: argparse.Namespace) -> tuple[int, str]:
     return _character_sum_result(cmd, outer_product(*cmd.partitions))
 
 
-def _run_schubert(cmd: Command) -> tuple[int, str]:
+def _run_schubert(cmd: argparse.Namespace) -> tuple[int, str]:
     return _character_sum_result(cmd, schubert_product(*cmd.partitions, *cmd.box))
 
 
@@ -257,13 +233,13 @@ def _verify_ribbons(a: SkewDiagram, labeling: RibbonLabeling) -> str | None:
     return None
 
 
-def _run_ribbons(cmd: Command) -> tuple[int, str]:
+def _run_ribbons(cmd: argparse.Namespace) -> tuple[int, str]:
     a = cmd.diagrams[0]
     labeling = nw_labeling(a)
     problem = cmd.verify and _verify_ribbons(a, labeling)
     if problem:
         return EXIT_VERIFY, f"verification failed: {problem}"
-    grid = _label_grid(labeling)
+    grid = _label_grid(a, labeling.rows)
     if cmd.json_out:
         payload = {
             "pi_nw": list(labeling.pi_nw.parts),
@@ -283,10 +259,10 @@ def _run_ribbons(cmd: Command) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _run_maxhook(cmd: Command) -> tuple[int, str]:
+def _run_maxhook(cmd: argparse.Namespace) -> tuple[int, str]:
     report = max_hl_characters(cmd.diagrams[0])
     if cmd.verify:
-        terms = _oracle(cmd).items()
+        terms = brute_decompose(_oracle_diagram(cmd)).items()
         hl = max(principal_hook_lengths(nu) for nu, _ in terms)
         top = [(nu, m) for nu, m in terms if principal_hook_lengths(nu) == hl]
         if (
@@ -338,22 +314,22 @@ def _verify_durfee_report(report: DurfeeMaxReport, full: CharacterSum) -> str | 
     return None
 
 
-def _durfee_result(cmd: Command, report: DurfeeMaxReport) -> tuple[int, str]:
-    problem = cmd.verify and _verify_durfee_report(report, _oracle(cmd))
+def _durfee_result(cmd: argparse.Namespace, report: DurfeeMaxReport) -> tuple[int, str]:
+    problem = cmd.verify and _verify_durfee_report(report, brute_decompose(_oracle_diagram(cmd)))
     if problem:
         return EXIT_VERIFY, f"verification failed: {problem}"
     return EXIT_OK, _json_text(report.to_json_dict()) if cmd.json_out else _durfee_report_text(report)
 
 
-def _run_durfee(cmd: Command) -> tuple[int, str]:
+def _run_durfee(cmd: argparse.Namespace) -> tuple[int, str]:
     return _durfee_result(cmd, max_durfee_special_skew(cmd.diagrams[0], exhaustive=cmd.exhaustive))
 
 
-def _run_durfee_product(cmd: Command) -> tuple[int, str]:
+def _run_durfee_product(cmd: argparse.Namespace) -> tuple[int, str]:
     return _durfee_result(cmd, max_durfee_product(*cmd.partitions, exhaustive=cmd.exhaustive))
 
 
-def _run_eqcheck(cmd: Command) -> tuple[int, str]:
+def _run_eqcheck(cmd: argparse.Namespace) -> tuple[int, str]:
     a, b = cmd.diagrams
     report = check_equality(a, b, full=cmd.full)
     if not report.passed:
@@ -388,7 +364,7 @@ def _run_eqcheck(cmd: Command) -> tuple[int, str]:
     return code, "\n".join(lines) + "\n"
 
 
-def _run_render(cmd: Command) -> tuple[int, str]:
+def _run_render(cmd: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, render(cmd.diagrams[0], "labels" if cmd.labels else "plain")
 
 
@@ -405,10 +381,9 @@ _HANDLERS = {
 }
 
 
-def run(cmd: Command) -> tuple[int, str]:
+def run(cmd: argparse.Namespace) -> tuple[int, str]:
     if cmd.max_boxes is not None and (cmd.verify or cmd.exhaustive):
-        # one diagram, or the two factors of a product
-        size = sum(a.size for a in cmd.diagrams) + sum(p.weight for p in cmd.partitions)
+        size = _oracle_diagram(cmd).size
         if size > cmd.max_boxes:
             return (
                 EXIT_TOO_LARGE,

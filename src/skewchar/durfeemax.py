@@ -10,8 +10,9 @@ the same square that complements the outer partition.
 
 Witness lists on the non-exhaustive paths are certified lower bounds, not
 complete listings; `exhaustive=True` expands the full character instead:
-the brute-force oracle `brute_decompose` for a product, the merged search
-for a square-framed skew shape.
+the brute-force oracle `brute_decompose` for a product, which raises
+`TooManyFillings` past `lr.MAX_FILLINGS` fillings, the merged search for a
+square-framed skew shape.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@
 in reverse-row-word order; it yields each filling as its reverse row word,
 the entries in that order.  `brute_decompose` enumerates the fillings of
 every content in one pass and tallies their contents; that expansion is
-the ground-truth oracle of the whole library, behind every `--verify`.
+the ground-truth oracle of the whole library, behind every `--verify` and
+`durfee-product --exhaustive`, and it refuses past `lr.MAX_FILLINGS`
+fillings.
 `decompose_skew` runs the same lattice-filling search row by row but
 merges partial fillings that agree on everything later rows can see: the
 previous row's entries over the shared columns, which group the states,
@@ -97,25 +99,28 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return sum(1 for _ in enumerate_lr_fillings(SkewDiagram(lam, mu), nu))
 
 
+# brute_decompose refuses once it counts more LR fillings than this; their
+# number, the total multiplicity, is not bounded by the box count
+MAX_FILLINGS = 500_000
+
+
 class TooManyFillings(Exception):
-    """`brute_decompose` counted more LR fillings than its `max_fillings`."""
+    """`brute_decompose` counted more than `MAX_FILLINGS` LR fillings."""
 
 
-def brute_decompose(a: SkewDiagram, max_fillings: int | None = None) -> CharacterSum:
+def brute_decompose(a: SkewDiagram) -> CharacterSum:
     """Expansion by one enumeration of every LR filling, independent of `decompose_skew`.
 
     Each filling adds one to the multiplicity of its content.  The work
     grows with the total multiplicity, which the box count does not bound,
-    so `max_fillings` raises `TooManyFillings` as soon as more fillings than
-    that are counted.
+    so `TooManyFillings` is raised as soon as more than `MAX_FILLINGS`
+    fillings are counted.
     """
-    words = enumerate_lr_fillings(a)
-    if max_fillings is not None:
-        words = islice(words, max_fillings + 1)
+    words = islice(enumerate_lr_fillings(a), MAX_FILLINGS + 1)
     # a sorted word is its content, value by value: tally those at C speed
     tally = Counter(map(tuple, map(sorted, words)))
-    if max_fillings is not None and sum(tally.values()) > max_fillings:
-        raise TooManyFillings(f"more than {max_fillings} LR fillings")
+    if sum(tally.values()) > MAX_FILLINGS:
+        raise TooManyFillings(f"more than {MAX_FILLINGS} LR fillings")
     terms = {Partition(len(list(run)) for _, run in groupby(word)): c for word, c in tally.items()}
     return CharacterSum(a.size, terms)
 

@@ -118,15 +118,6 @@ def first_hook_strip(p: Partition) -> Partition:
     return Partition(x - 1 for x in p.parts[1:] if x > 1)
 
 
-def frobenius_coordinates(p: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Arm and leg lengths of the diagonal boxes."""
-    conj = conjugate(p)
-    d = durfee(p)
-    arms = tuple(p[i] - i - 1 for i in range(d))
-    legs = tuple(conj[i] - i - 1 for i in range(d))
-    return arms, legs
-
-
 def from_frobenius(arms: Iterable[int], legs: Iterable[int]) -> Partition:
     """Partition with the given diagonal arm and leg lengths."""
     arms = tuple(arms)

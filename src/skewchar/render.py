@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ribbons import RibbonLabeling, nw_labeling
+from .ribbons import _label_rows
 from .skew import SkewDiagram
 
 _SYMBOLS = "123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -17,19 +17,21 @@ def render_plain(a: SkewDiagram) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _label_grid(labeling: RibbonLabeling) -> str:
-    """`render_labels` of the labeled diagram, from a labeling already made."""
-    a, depth = labeling.diagram, len(labeling.profiles)
-    rows = enumerate(labeling.rows)
+def _label_grid(a: SkewDiagram, rows: list[list[int]]) -> str:
+    """`render_labels` of the diagram, from its label rows already made."""
+    # labels weakly increase along a row, so its last one is its largest
+    depth = max((row[-1] for row in rows if row), default=0)
     if depth <= len(_SYMBOLS):
-        lines = [":" * a.inner[i] + "".join([_SYMBOLS[v - 1] for v in row]) for i, row in rows]
+        lines = [
+            ":" * a.inner[i] + "".join([_SYMBOLS[v - 1] for v in row]) for i, row in enumerate(rows)
+        ]
         lines.extend(f"{_SYMBOLS[v - 1]} = {v}" for v in range(10, depth + 1))
     else:
         # one symbol per label no longer suffices: decimal cells of one width
         width = len(str(depth))
         lines = [
             " ".join([":".rjust(width)] * a.inner[i] + [str(v).rjust(width) for v in row])
-            for i, row in rows
+            for i, row in enumerate(rows)
         ]
     return "".join(line + "\n" for line in lines)
 
@@ -43,7 +45,7 @@ def render_labels(a: SkewDiagram) -> str:
     boxes (':') are right-aligned to one width and separated by spaces,
     with no legend.
     """
-    return _label_grid(nw_labeling(a))
+    return _label_grid(a, _label_rows(a))
 
 
 def render(a: SkewDiagram, mode: str = "plain") -> str:

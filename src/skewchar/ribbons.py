@@ -107,8 +107,8 @@ def nw_layers(a: SkewDiagram) -> tuple[Partition, tuple[RibbonProfile, ...]]:
     return Partition(sizes), profiles
 
 
-def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
-    """Label every box with its northwest ribbon index."""
+def _label_rows(a: SkewDiagram) -> list[list[int]]:
+    """The northwest ribbon index of every box, as `RibbonLabeling.rows`."""
     rows: list[list[int]] = []
     above: list[int] = []  # labels of the row above, from column plo + 1 on
     plo = a.num_cols  # row 0 is empty at full width
@@ -119,7 +119,12 @@ def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
         row = [1] * (min(hi, plo + 1) - lo) + [v + 1 for v in above[: max(0, hi - plo - 1)]]
         rows.append(row)
         above, plo = row, lo
-    return RibbonLabeling(a, rows, *nw_layers(a))
+    return rows
+
+
+def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
+    """Label every box with its northwest ribbon index."""
+    return RibbonLabeling(a, _label_rows(a), *nw_layers(a))
 
 
 def pi_nw(a: SkewDiagram) -> Partition:

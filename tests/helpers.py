@@ -13,6 +13,8 @@ from skewchar import (
     RibbonLabeling,
     RibbonProfile,
     SkewDiagram,
+    conjugate,
+    durfee,
     normalize,
     nw_labeling,
     strip_nw_ribbons,
@@ -32,6 +34,15 @@ def SD(outer, inner=()) -> SkewDiagram:
 def add_partitions(mu: Partition, nu: Partition) -> Partition:
     """Componentwise sum, missing parts read as 0."""
     return Partition(mu[i] + nu[i] for i in range(max(mu.length, nu.length)))
+
+
+def frobenius_coordinates(p: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Arm and leg lengths of the diagonal boxes."""
+    conj = conjugate(p)
+    d = durfee(p)
+    arms = tuple(p[i] - i - 1 for i in range(d))
+    legs = tuple(conj[i] - i - 1 for i in range(d))
+    return arms, legs
 
 
 def lex_compare(mu: Partition, nu: Partition) -> int:

@@ -21,13 +21,14 @@ from skewchar import (
     decompose_skew,
     nw_labeling,
     outer_product,
+    parse_skew,
     render,
     render_labels,
     render_plain,
     schubert_product,
     translate,
 )
-from skewchar import cli, durfeemax, equality, extremal
+from skewchar import cli, durfeemax, equality, extremal, lr, ribbons
 from skewchar.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -102,6 +103,19 @@ class TestRender:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             render(SD((1,)), "fancy")
+
+    def test_labels_need_no_layer_profiles(self, monkeypatch):
+        # one symbol per label, a legend, decimal cells, and no box at all
+        texts = ["10^2,8^4,5^2 / 5^4", "10^10", "64^64/3,1", "3,1/3,1"]
+        expected = [render_labels(parse_skew(text)) for text in texts]
+
+        def refuse(a):
+            raise AssertionError("layer profiles computed")
+
+        monkeypatch.setattr(ribbons, "nw_layers", refuse)
+        for text, grid in zip(texts, expected):
+            assert run(parse_args(["render", text, "--labels"])) == (EXIT_OK, grid)
+        assert expected[0] == EXAMPLE_GRID_A
 
 
 class TestParse:
@@ -366,7 +380,7 @@ class TestRun:
 
     def test_verify_mismatch_exit(self, monkeypatch):
         cmd = parse_args(["maxhook", "2,1", "--verify"])
-        monkeypatch.setattr(cli, "brute_decompose", lambda a, limit: CharacterSum(3, {P(3): 1}))
+        monkeypatch.setattr(cli, "brute_decompose", lambda a: CharacterSum(3, {P(3): 1}))
         code, text = run(cmd)
         assert code == EXIT_VERIFY
         assert "verification failed" in text
@@ -405,25 +419,26 @@ class TestRun:
         argv = ["decompose", f"{delta(30)}/{delta(29)}", "--verify"]
         assert run(parse_args(argv)) == (
             EXIT_TOO_LARGE,
-            f"refusing oracle run: more than {cli.ORACLE_MAX_FILLINGS} LR fillings",
+            f"refusing oracle run: more than {lr.MAX_FILLINGS} LR fillings",
         )
 
     @pytest.mark.parametrize(
         "argv, fillings",
         [
-            (["decompose", "4^2,2^2,1^2 / 1^4"], 6),
-            (["product", "3,2", "2,1"], 10),
-            (["schubert", "3,2", "2,1", "--box", "4,3"], 10),
-            (["maxhook", "8^2,7,4,3^2 / 4,3,2"], 324),
-            (["durfee", "3,3,2/1,1"], 2),
-            (["durfee-product", "5^2,3^2,2", "4,3,1^2"], 1162),
+            (["decompose", "4^2,2^2,1^2 / 1^4", "--verify"], 6),
+            (["product", "3,2", "2,1", "--verify"], 10),
+            (["schubert", "3,2", "2,1", "--box", "4,3", "--verify"], 10),
+            (["maxhook", "8^2,7,4,3^2 / 4,3,2", "--verify"], 324),
+            (["durfee", "3,3,2/1,1", "--verify"], 2),
+            (["durfee-product", "5^2,3^2,2", "4,3,1^2", "--verify"], 1162),
+            # the exhaustive list is the oracle's own expansion, under the same limit
+            (["durfee-product", "5^2,3^2,2", "4,3,1^2", "--exhaustive"], 1162),
         ],
     )
     def test_every_verify_keeps_the_filling_limit(self, monkeypatch, argv, fillings):
-        argv = argv + ["--verify"]
-        monkeypatch.setattr(cli, "ORACLE_MAX_FILLINGS", fillings)
+        monkeypatch.setattr(lr, "MAX_FILLINGS", fillings)
         assert run(parse_args(argv))[0] == EXIT_OK
-        monkeypatch.setattr(cli, "ORACLE_MAX_FILLINGS", fillings - 1)
+        monkeypatch.setattr(lr, "MAX_FILLINGS", fillings - 1)
         assert run(parse_args(argv)) == (
             EXIT_TOO_LARGE,
             f"refusing oracle run: more than {fillings - 1} LR fillings",
@@ -505,7 +520,6 @@ class TestRun:
 
     @pytest.mark.parametrize("flags", [[], ["--json"], ["--verify"]], ids=["text", "json", "verify"])
     def test_ribbons_labels_once(self, monkeypatch, flags):
-        render_module = sys.modules["skewchar.render"]
         calls = []
 
         def counting(a):
@@ -514,7 +528,6 @@ class TestRun:
 
         original = cli.nw_labeling
         monkeypatch.setattr(cli, "nw_labeling", counting)
-        monkeypatch.setattr(render_module, "nw_labeling", counting)
         cmd = parse_args(["ribbons", "10^2,8^4,5^2 / 5^4", *flags])
         assert run(cmd)[0] == EXIT_OK
         assert calls == [cmd.diagrams[0]]

@@ -5,6 +5,7 @@ import pytest
 from skewchar import (
     CharacterSum,
     Partition,
+    TooManyFillings,
     associated_diagram,
     complement,
     decompose_skew,
@@ -17,7 +18,7 @@ from skewchar import (
     outer_product,
     verify_complementation,
 )
-from skewchar import durfeemax
+from skewchar import durfeemax, lr
 
 from helpers import P, SD, random_partition, random_subpartition
 
@@ -128,6 +129,17 @@ class TestMaxDurfeeProduct:
         expected = {nu: m for nu, m in full.items() if durfee(nu) == report.max_durfee}
         assert {w.nu_inverse: w.mult for w in report.witnesses} == expected
         assert report.exhaustive
+
+    def test_exhaustive_keeps_the_filling_limit(self, monkeypatch):
+        # the product's expansion is the oracle's, bounded as the oracle is
+        a, b = P(5, 5, 3, 3, 2), P(4, 3, 1, 1)
+        fillings = outer_product(a, b).total_multiplicity()
+        monkeypatch.setattr(lr, "MAX_FILLINGS", fillings)
+        assert max_durfee_product(a, b, exhaustive=True).exhaustive
+        monkeypatch.setattr(lr, "MAX_FILLINGS", fillings - 1)
+        with pytest.raises(TooManyFillings, match=f"^more than {fillings - 1} LR fillings$"):
+            max_durfee_product(a, b, exhaustive=True)
+        assert not max_durfee_product(a, b).exhaustive
 
 
 class TestMaxDurfeeSpecialSkew:

@@ -301,16 +301,20 @@ class TestBoxCap:
 
 
 class TestBruteDecompose:
-    def test_filling_limit(self):
+    def test_filling_limit(self, monkeypatch):
         a = parse_skew("4^2,2^2,1^2 / 1^4")
         total = decompose_skew(a).total_multiplicity()
-        assert brute_decompose(a, total) == brute_decompose(a) == decompose_skew(a)
+        unbounded = brute_decompose(a)
+        monkeypatch.setattr(lr, "MAX_FILLINGS", total)
+        assert brute_decompose(a) == unbounded == decompose_skew(a)
         for limit in (0, total - 1):
+            monkeypatch.setattr(lr, "MAX_FILLINGS", limit)
             with pytest.raises(TooManyFillings, match=f"^more than {limit} LR fillings$"):
-                brute_decompose(a, limit)
+                brute_decompose(a)
         # 193 065 fillings in all; the count stops after the first 1 001
+        monkeypatch.setattr(lr, "MAX_FILLINGS", 1000)
         with pytest.raises(TooManyFillings):
-            brute_decompose(parse_skew("9,8,7,6,5,4,3,2,1/5,4,3,2,1"), 1000)
+            brute_decompose(parse_skew("9,8,7,6,5,4,3,2,1/5,4,3,2,1"))
 
     def test_one_enumeration_equals_the_per_candidate_counts(self, monkeypatch):
         rng = random.Random(30)

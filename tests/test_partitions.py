@@ -10,7 +10,6 @@ from skewchar import (
     durfee,
     first_hook_strip,
     format_partition,
-    frobenius_coordinates,
     from_frobenius,
     parse_partition,
     partitions_in_box,
@@ -19,7 +18,13 @@ from skewchar import (
 )
 from skewchar.partitions import MAX_PARTS
 
-from helpers import P, add_partitions, lex_compare, partitions_of_weight_in_box
+from helpers import (
+    P,
+    add_partitions,
+    frobenius_coordinates,
+    lex_compare,
+    partitions_of_weight_in_box,
+)
 
 partitions_st = st.lists(st.integers(1, 9), max_size=6).map(
     lambda xs: Partition(sorted(xs, reverse=True))
