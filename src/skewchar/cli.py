@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .durfeemax import DurfeeMaxReport, max_durfee_product, max_durfee_special_skew
@@ -129,14 +130,19 @@ def _parsed(parse, text: str):
         raise UsageError(str(exc)) from exc
 
 
+# ASCII digits only (str.isdigit accepts '²', which int() refuses), and few
+# enough that int() is cheap: a side past 10^9 caps no parsable product
+_BOX = re.compile(r"([0-9]{1,9}),([0-9]{1,9})")
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """The parsed namespace, with `diagrams`, `partitions` and `box` converted."""
     cmd = _build_parser().parse_args(argv)
     if cmd.box is not None:
-        pieces = "".join(cmd.box.split()).split(",")
-        if len(pieces) != 2 or not all(p.isdigit() and p for p in pieces):
+        m = _BOX.fullmatch("".join(cmd.box.split()))
+        if not m:
             raise UsageError(f"--box expects K,L with positive integers, got {cmd.box!r}")
-        k, l = int(pieces[0]), int(pieces[1])
+        k, l = int(m[1]), int(m[2])
         if k < 1 or l < 1:
             raise UsageError("--box sides must be positive")
         cmd.box = (k, l)

@@ -16,8 +16,8 @@ The final counts are partitions by construction, so the sum keeps the
 count tuples the search built, unvalidated; `CharacterSum.items()` and
 `support()` are what make `Partition` objects of them.  `outer_product` is
 that search on the two factors side by side, and `schubert_product` the
-same with a box cap: one engine, as in Buch's lrcalc, serves skew shapes
-and products.
+same with its box capping each row as it is filled: one engine, as in
+Buch's lrcalc, serves skew shapes, products and Schubert products.
 """
 
 from __future__ import annotations
@@ -202,42 +202,48 @@ class CharacterSum:
 
 
 def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> CharacterSum:
-    """Expand a skew character into irreducibles, only those inside `box=(k, l)` if given."""
+    """Expand a skew character into irreducibles, only those inside `box=(k, l)` if given.
+
+    The box caps each row as it is filled: at most k ones, at most l values.
+    """
     # an empty row changes no counts, and the rows around it share no column
     spans = [(a, b) for a, b in map(diagram.row_span, range(1, diagram.num_rows + 1)) if a < b]
+    k, l = box or (diagram.size, len(spans))  # else the caps the diagram implies
+    l = l if k > 0 else 0  # without a 1 no value opens
     # previous row entries kept for the next row, from column prev_a + 1
-    # -> running content counts -> number of partial fillings reaching them
-    groups: dict[tuple, dict[tuple, int]] = {(): {(): 1}}
+    # -> (k, running content counts) -> number of partial fillings reaching them.
+    # With k leading, the lattice test cnt[v - 1] > cnt[v] caps the 1s too;
+    # counts only grow, so a state the caps refuse could never fit the box.
+    groups: dict[tuple, dict[tuple, int]] = {(): {(k,): 1}}
     prev_a = 0
-    for idx, (a, b) in enumerate(spans):
-        next_b = spans[idx + 1][1] if idx + 1 < len(spans) else 0
+    for (a, b), (_, next_b) in zip(spans, spans[1:] + [(0, 0)]):
         keep = max(0, min(b, next_b) - a)
         width = b - a
         new_groups: defaultdict[tuple, dict[tuple, int]] = defaultdict(dict)
         # entries[i + 1:] are placed; v is the next value to try at position
         # i.  Entries run right to left, the order the counts live in, and
         # weakly decrease leftward: entries[i + 1] caps position i, and the
-        # sentinel entries[width] lets only the rightmost be a new n + 1.
+        # sentinel entries[width] lets only the rightmost open a value, n + 1 <= l.
         # Counts are positive, so only undoing a new value leaves a zero, at the end.
         entries = [0] * (width + 1)
         cols = range(a - prev_a, b - prev_a)  # this row's columns, indexed into prev
         for prev, group in groups.items():
-            lows = [prev[k] + 1 if 0 <= k < len(prev) else 1 for k in cols]
+            lows = [prev[j] + 1 if 0 <= j < len(prev) else 1 for j in cols]
             for counts, mult in group.items():
                 cnt = list(counts)
-                n = len(cnt)
-                entries[width] = n + 1
+                n = len(cnt) - 1
+                entries[width] = n + 1 if n < l else l
                 i, v = width - 1, lows[-1]
                 while True:
                     cap = entries[i + 1]
-                    while 1 < v <= n and v <= cap and cnt[v - 2] <= cnt[v - 1]:
+                    while v <= n and v <= cap and cnt[v - 1] <= cnt[v]:
                         v += 1
                     if v <= cap:
                         if v > n:
                             cnt.append(1)
                             n += 1
                         else:
-                            cnt[v - 1] += 1
+                            cnt[v] += 1
                         entries[i] = v
                         if i:
                             i -= 1
@@ -251,24 +257,16 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
                         if i == width:
                             break
                         v = entries[i]
-                    cnt[v - 1] -= 1
-                    if not cnt[v - 1]:
+                    cnt[v] -= 1
+                    if not cnt[v]:
                         cnt.pop()
                         n -= 1
                     v += 1
-        if box:  # counts only grow, so a state outside the box stays outside
-            k, l = box
-            new_groups = {
-                prev: kept
-                for prev, group in new_groups.items()
-                if (kept := {c: m for c, m in group.items() if c[0] <= k and len(c) <= l})
-            }
         groups, prev_a = new_groups, a
     # the last row keeps nothing, so at most one group is left.  Its counts
-    # are partitions: lattice counts are positive and weakly decreasing.
-    # A fresh copy, not the search's own dict: adopting that one measurably
-    # raised the peak memory of runs over large sums.
-    return CharacterSum._trusted(diagram.size, dict(groups.get((), {})))
+    # are partitions: lattice counts are positive and weakly decreasing.  A
+    # fresh dict, without k: adopting the search's own raised peak memory.
+    return CharacterSum._trusted(diagram.size, {c[1:]: m for c, m in groups.get((), {}).items()})
 
 
 def outer_product(alpha: Partition, beta: Partition) -> CharacterSum:

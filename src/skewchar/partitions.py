@@ -141,30 +141,40 @@ def from_frobenius(arms: Iterable[int], legs: Iterable[int]) -> Partition:
     return Partition(rows)
 
 
-_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
-
-# Most parts one partition text may hold, checked before any ``b^e`` is
+# Most parts one partition text may hold, and the largest part: the diagram
+# fits in a MAX_PARTS square.  Both are checked before any ``b^e`` is
 # expanded, so that input like ``1^100000000`` is refused without allocating.
 MAX_PARTS = 10_000
+
+# leading zeros outside the groups, which start with a digit other than 0
+# ([^\D0]) so that a long run of zeros does not backtrack quadratically
+_TOKEN = re.compile(r"0*([^\D0]\d*|0)(?:\^0*([^\D0]\d*|0))?")
+_DIGITS = len(str(MAX_PARTS))
 
 
 def parse_partition(text: str) -> Partition:
     """Parse comma separated parts with optional exponents, e.g. ``10^2,8,5^3``.
 
     Whitespace is ignored everywhere; an empty string is the empty partition.
-    More than `MAX_PARTS` parts in total is a grammar error.
+    More than `MAX_PARTS` parts in total, or a part above `MAX_PARTS`, is a
+    grammar error.
     """
     compact = "".join(text.split())
     if not compact:
         return Partition()
     parts: list[int] = []
     for token in compact.split(","):
-        m = _TOKEN.match(token)
+        m = _TOKEN.fullmatch(token)
         if not m:
             raise GrammarError(f"bad partition token {token!r}")
-        base = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) else 1
-        if m.group(2) and exp == 0:
+        b, e = m.groups(default="1")
+        # more digits than MAX_PARTS has is past it, and int() never reads
+        # them: past 4 300 digits int() refuses, and its time grows with them
+        base = int(b) if len(b) <= _DIGITS else MAX_PARTS + 1
+        exp = int(e) if len(e) <= _DIGITS else MAX_PARTS + 1
+        if base > MAX_PARTS:
+            raise GrammarError(f"a part may be at most {MAX_PARTS}")
+        if not exp:
             raise GrammarError(f"exponent must be positive in {token!r}")
         if len(parts) + exp > MAX_PARTS:
             raise GrammarError(f"a partition may have at most {MAX_PARTS} parts")

@@ -133,8 +133,10 @@ class TestParse:
             parse_args(["frobnicate", "1"])
 
     def test_bad_box(self):
-        with pytest.raises(UsageError):
-            parse_args(["schubert", "1", "1", "--box", "1;2"])
+        # str.isdigit accepts '²', which int() refuses; int() refuses 5 000 digits too
+        for box in ("1;2", "²,1", "1,2,3", f"{'9' * 5000},1", f"1,{'9' * 5000}"):
+            with pytest.raises(UsageError, match="^--box expects K,L with positive integers"):
+                parse_args(["schubert", "1", "1", "--box", box])
 
     def test_bad_token_is_usage(self):
         with pytest.raises(UsageError):
@@ -681,6 +683,9 @@ class TestMainEntry:
     def test_part_count_limit_is_usage_error(self, capsys):
         assert cli.main(["render", f"1^{MAX_PARTS + 1}"]) == EXIT_USAGE
         assert f"at most {MAX_PARTS} parts" in capsys.readouterr().err
+        for verb in ("decompose", "ribbons", "render", "maxhook"):
+            assert cli.main([verb, "1000000000"]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: a part may be at most {MAX_PARTS}\n"
 
     def test_usage_exit(self):
         proc = subprocess.run(

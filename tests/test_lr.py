@@ -290,10 +290,13 @@ class TestBoxCap:
                 (max(widths), max(lengths)),
                 (min(widths) - 1, max(lengths)),  # empties the answer
                 (max(widths), min(lengths) - 1),  # so does this one
+                (0, max(lengths)),  # and a zero side, which no term fits
+                (max(widths), 0),
             ]
             for k, l in boxes:
                 assert decompose_skew(a, box=(k, l)) == self._in_box(full, k, l)
-            assert len(decompose_skew(a, box=boxes[2])) == len(decompose_skew(a, box=boxes[3])) == 0
+            for empty in boxes[2:]:
+                assert len(decompose_skew(a, box=empty)) == 0
 
     def test_empty_diagram(self):
         for box in ((1, 1), (0, 0), (3, 2)):

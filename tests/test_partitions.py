@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -206,7 +208,26 @@ class TestGrammar:
     def test_part_count_limit(self):
         assert parse_partition(f"1^{MAX_PARTS}").length == MAX_PARTS
         assert parse_partition(f"2^{MAX_PARTS - 1},1").length == MAX_PARTS
-        for text in (f"1^{MAX_PARTS + 1}", f"2^{MAX_PARTS},1", f"2,1^{MAX_PARTS}"):
+        # parts are bounded too, on the digits: leading zeros do not count
+        assert parse_partition(f"{MAX_PARTS},{'0' * 5000}1^{'0' * 5000}2") == P(MAX_PARTS, 1, 1)
+        huge = "9" * 5000  # past int()'s digit limit
+        # zeros the token pattern could split two ways: backtracking over them
+        # quadratically would take seconds
+        start = time.perf_counter()
+        with pytest.raises(GrammarError, match="^bad partition token"):
+            parse_partition("0" * 20000 + "x")
+        assert time.perf_counter() - start < 1
+        for text in (
+            f"1^{MAX_PARTS + 1}",
+            f"2^{MAX_PARTS},1",
+            f"2,1^{MAX_PARTS}",
+            f"{MAX_PARTS + 1}",
+            "1000000000",
+            f"3,{huge}",
+            f"{huge}^2",
+            f"1^{huge}",
+            f"1^{MAX_PARTS}000",
+        ):
             with pytest.raises(GrammarError, match="at most"):
                 parse_partition(text)
 
