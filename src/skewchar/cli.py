@@ -31,6 +31,7 @@ from .lr import (
 from .partitions import (
     GrammarError,
     Partition,
+    _echo,
     durfee,
     format_partition,
     parse_partition,
@@ -141,7 +142,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if cmd.box is not None:
         m = _BOX.fullmatch("".join(cmd.box.split()))
         if not m:
-            raise UsageError(f"--box expects K,L with positive integers, got {cmd.box!r}")
+            raise UsageError(f"--box expects K,L with positive integers, got {_echo(repr(cmd.box))}")
         k, l = int(m[1]), int(m[2])
         if k < 1 or l < 1:
             raise UsageError("--box sides must be positive")
@@ -215,10 +216,9 @@ def _run_schubert(cmd: argparse.Namespace) -> tuple[int, str]:
 
 
 def _verify_ribbons(a: SkewDiagram, labeling: RibbonLabeling) -> str | None:
-    spans = [a.row_span(i) for i in range(1, a.num_rows + 1)]
-    if [len(row) for row in labeling.rows] != [hi - lo for lo, hi in spans]:
+    if [len(row) for row in labeling.rows] != [hi - lo for lo, hi in a.spans]:
         return "the labels do not cover the diagram"
-    rows = enumerate(zip(spans, labeling.rows), 1)
+    rows = enumerate(zip(a.spans, labeling.rows), 1)
     labels = {(r, c): v for r, ((lo, _), row) in rows for c, v in enumerate(row, lo + 1)}
     for (r, c), v in labels.items():
         if v != labels.get((r - 1, c - 1), 0) + 1:

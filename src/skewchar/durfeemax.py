@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extremal import max_hl_characters, min_durfee
-from .lr import brute_decompose, decompose_skew, schubert_product
+from .lr import CharacterSum, brute_decompose, decompose_skew, schubert_product
 from .partitions import Partition, contains, durfee
 from .skew import SkewDiagram, embed_disjoint
 
@@ -72,17 +72,16 @@ def associated_diagram(alpha: Partition, beta: Partition) -> tuple[int, SkewDiag
     return m, SkewDiagram(complement(alpha, m, m), beta)
 
 
-def _durfee_report(m: int, assoc: SkewDiagram, exhaustive: bool, expand) -> DurfeeMaxReport:
+def _durfee_report(m: int, assoc: SkewDiagram, full: CharacterSum | None) -> DurfeeMaxReport:
     """The report for the maximal Durfee size, with its witnesses cross-checked.
 
     The maximal Durfee size is m minus the minimal Durfee size of `assoc`.
-    Exhaustive witnesses are every attainer in the full expansion
-    `expand()`.  Otherwise they are the complements in the m x m square of
-    the max-hl constituents of `assoc`.
+    Given the full expansion `full`, the witnesses are every attainer in
+    it, exhaustively.  Otherwise they are the complements in the m x m
+    square of the max-hl constituents of `assoc`.
     """
-    if exhaustive:
+    if full is not None:
         d = m - min_durfee(assoc)
-        full = expand()
         dmax = max(durfee(nu) for nu in full.support())
         if dmax != d:
             raise AssertionError(f"oracle Durfee maximum {dmax} disagrees with formula {d}")
@@ -96,7 +95,7 @@ def _durfee_report(m: int, assoc: SkewDiagram, exhaustive: bool, expand) -> Durf
         for w in wits:
             if durfee(w.nu_inverse) != d:
                 raise AssertionError(f"witness {w.nu_inverse} misses Durfee size {d}")
-    return DurfeeMaxReport(m=m, associated=assoc, max_durfee=d, witnesses=wits, exhaustive=exhaustive)
+    return DurfeeMaxReport(m, assoc, d, wits, exhaustive=full is not None)
 
 
 def max_durfee_product(
@@ -104,7 +103,7 @@ def max_durfee_product(
 ) -> DurfeeMaxReport:
     """Largest Durfee size among constituents of the product, with witnesses."""
     m, assoc = associated_diagram(alpha, beta)
-    return _durfee_report(m, assoc, exhaustive, lambda: brute_decompose(embed_disjoint(alpha, beta)))
+    return _durfee_report(m, assoc, brute_decompose(embed_disjoint(alpha, beta)) if exhaustive else None)
 
 
 def max_durfee_special_skew(a: SkewDiagram, exhaustive: bool = False) -> DurfeeMaxReport:
@@ -131,7 +130,7 @@ def max_durfee_special_skew(a: SkewDiagram, exhaustive: bool = False) -> DurfeeM
     if mu[0] > lam[l - 1]:
         raise ValueError(f"inner width {mu[0]} must not exceed outer last part {lam[l - 1]}")
     assoc = embed_disjoint(mu, complement(lam, l, l))
-    return _durfee_report(l, assoc, exhaustive, lambda: decompose_skew(a))
+    return _durfee_report(l, assoc, decompose_skew(a) if exhaustive else None)
 
 
 def verify_complementation(mu: Partition, lam: Partition, k: int, l: int) -> bool:

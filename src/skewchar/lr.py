@@ -50,8 +50,7 @@ def enumerate_lr_fillings(
     above: list[int] = []
     right: list[bool] = []
     prev_start = prev_a = prev_b = 0
-    for i in range(1, shape.num_rows + 1):
-        a, b = shape.row_span(i)
+    for a, b in shape.spans:
         start = len(above)
         for j in range(b, a, -1):
             above.append(prev_start + prev_b - j if prev_a < j <= prev_b else -1)
@@ -207,7 +206,7 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
     The box caps each row as it is filled: at most k ones, at most l values.
     """
     # an empty row changes no counts, and the rows around it share no column
-    spans = [(a, b) for a, b in map(diagram.row_span, range(1, diagram.num_rows + 1)) if a < b]
+    spans = [(a, b) for a, b in diagram.spans if a < b]
     k, l = box or (diagram.size, len(spans))  # else the caps the diagram implies
     l = l if k > 0 else 0  # without a 1 no value opens
     # previous row entries kept for the next row, from column prev_a + 1

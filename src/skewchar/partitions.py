@@ -17,6 +17,15 @@ class GrammarError(ValueError):
     """Partition or skew-diagram text that does not match the input grammar."""
 
 
+# error messages quote at most this many characters of an offending input
+_ECHO_LIMIT = 60
+
+
+def _echo(text: str) -> str:
+    """`text` as an error message quotes it: past `_ECHO_LIMIT` characters, cut and marked."""
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
+
+
 @total_ordering
 class Partition:
     """Weakly decreasing sequence of positive integers."""
@@ -29,9 +38,9 @@ class Partition:
             ps.pop()
         for i, p in enumerate(ps):
             if not isinstance(p, int) or p <= 0:
-                raise ValueError(f"partition parts must be positive integers, got {ps}")
+                raise ValueError(f"partition parts must be positive integers, got {_echo(str(ps))}")
             if i > 0 and ps[i - 1] < p:
-                raise ValueError(f"partition parts must be weakly decreasing, got {ps}")
+                raise ValueError(f"partition parts must be weakly decreasing, got {_echo(str(ps))}")
         self._parts = tuple(ps)
 
     @classmethod
@@ -166,7 +175,7 @@ def parse_partition(text: str) -> Partition:
     for token in compact.split(","):
         m = _TOKEN.fullmatch(token)
         if not m:
-            raise GrammarError(f"bad partition token {token!r}")
+            raise GrammarError(f"bad partition token {_echo(repr(token))}")
         b, e = m.groups(default="1")
         # more digits than MAX_PARTS has is past it, and int() never reads
         # them: past 4 300 digits int() refuses, and its time grows with them
@@ -175,7 +184,7 @@ def parse_partition(text: str) -> Partition:
         if base > MAX_PARTS:
             raise GrammarError(f"a part may be at most {MAX_PARTS}")
         if not exp:
-            raise GrammarError(f"exponent must be positive in {token!r}")
+            raise GrammarError(f"exponent must be positive in {_echo(repr(token))}")
         if len(parts) + exp > MAX_PARTS:
             raise GrammarError(f"a partition may have at most {MAX_PARTS} parts")
         parts.extend([base] * exp)

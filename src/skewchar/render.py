@@ -10,10 +10,7 @@ _SYMBOLS = "123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 def render_plain(a: SkewDiagram) -> str:
     """One line per row, inner boxes as ':' and skew boxes as '#'."""
-    lines = []
-    for i in range(1, a.num_rows + 1):
-        lo, hi = a.row_span(i)
-        lines.append(":" * lo + "#" * (hi - lo))
+    lines = [":" * lo + "#" * (hi - lo) for lo, hi in a.spans]
     return "".join(line + "\n" for line in lines)
 
 
@@ -23,15 +20,16 @@ def _label_grid(a: SkewDiagram, rows: list[list[int]]) -> str:
     depth = max((row[-1] for row in rows if row), default=0)
     if depth <= len(_SYMBOLS):
         lines = [
-            ":" * a.inner[i] + "".join([_SYMBOLS[v - 1] for v in row]) for i, row in enumerate(rows)
+            ":" * lo + "".join([_SYMBOLS[v - 1] for v in row])
+            for (lo, _), row in zip(a.spans, rows)
         ]
         lines.extend(f"{_SYMBOLS[v - 1]} = {v}" for v in range(10, depth + 1))
     else:
         # one symbol per label no longer suffices: decimal cells of one width
         width = len(str(depth))
         lines = [
-            " ".join([":".rjust(width)] * a.inner[i] + [str(v).rjust(width) for v in row])
-            for i, row in enumerate(rows)
+            " ".join([":".rjust(width)] * lo + [str(v).rjust(width) for v in row])
+            for (lo, _), row in zip(a.spans, rows)
         ]
     return "".join(line + "\n" for line in lines)
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import Partition
-from .skew import SkewDiagram, normalize
+from .skew import SkewDiagram, _from_spans
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class RibbonLabeling:
     """Northwest ribbon indices, row by row, with derived layer data."""
 
     diagram: SkewDiagram
-    rows: list[list[int]]  # rows[i - 1]: row i's labels from column inner_i + 1 on, [] if empty
+    rows: list[list[int]]  # rows[i - 1]: row i's labels from column spans[i - 1][0] + 1 on
     pi_nw: Partition
     profiles: tuple[RibbonProfile, ...]
 
@@ -112,8 +112,7 @@ def _label_rows(a: SkewDiagram) -> list[list[int]]:
     rows: list[list[int]] = []
     above: list[int] = []  # labels of the row above, from column plo + 1 on
     plo = a.num_cols  # row 0 is empty at full width
-    for i in range(1, a.num_rows + 1):
-        lo, hi = a.row_span(i)
+    for lo, hi in a.spans:
         # lo <= plo and hi <= plo + len(above): exactly the boxes right of
         # column plo + 1 have a northwest neighbour
         row = [1] * (min(hi, plo + 1) - lo) + [v + 1 for v in above[: max(0, hi - plo - 1)]]
@@ -145,6 +144,5 @@ def strip_nw_ribbons(a: SkewDiagram, t: int) -> SkewDiagram:
     depth = len(nw_layers(a)[1])
     if not 0 <= t <= depth:
         raise ValueError(f"cannot strip {t} ribbons from {depth} layers")
-    outer = a.outer
-    inner = Partition(outer[i] if i < t else min(outer[i], a.inner[i - t] + t) for i in range(outer.length))
-    return normalize(SkewDiagram(outer, inner))
+    # row i > t of A_{t+1} is (min(outer_i, inner_{i-t} + t), outer_i]; rows up to t are empty
+    return _from_spans([(min(hi, lo + t), hi) for (lo, _), (_, hi) in zip(a.spans, a.spans[t:])])

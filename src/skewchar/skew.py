@@ -2,15 +2,16 @@
 
 Diagrams are compared structurally on (outer, inner); translates of each
 other normalize to the same representative, which is how semantic equality
-of shapes is expressed.  Every operation here works on the row spans
-(inner_i, outer_i]; box sets only enter through `skew_from_boxes` and leave
-through `SkewDiagram.boxes`.
+of shapes is expressed.  Every operation here reads the row spans
+(inner_i, outer_i] of `SkewDiagram.spans` and builds its result with
+`_from_spans`; box sets only enter through `skew_from_boxes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
 from .partitions import (
     GrammarError,
@@ -46,16 +47,14 @@ class SkewDiagram:
     def num_cols(self) -> int:
         return self.outer[0] if self.outer else 0
 
-    def row_span(self, i: int) -> tuple[int, int]:
-        """Occupied columns (a, b] of 1-based row i."""
-        return self.inner[i - 1], self.outer[i - 1]
-
-    def boxes(self) -> list[tuple[int, int]]:
-        """The (row, col) boxes, row by row; the inverse of `skew_from_boxes`."""
-        return [(i, j) for i, (a, b) in enumerate(_spans(self), 1) for j in range(a + 1, b + 1)]
+    @property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Occupied columns (inner_i, outer_i] of rows 1..num_rows; inner is padded with 0."""
+        # from a list: a tuple built from an iterator is resized and leaves blocks on the free lists
+        return tuple(list(zip_longest(self.inner.parts, self.outer.parts, fillvalue=0)))
 
     def row_lengths(self) -> list[int]:
-        return [b - a for a, b in _spans(self) if b > a]
+        return [b - a for a, b in self.spans if b > a]
 
     def column_heights(self) -> list[int]:
         co, ci = conjugate(self.outer), conjugate(self.inner)
@@ -65,11 +64,7 @@ class SkewDiagram:
         return format_skew(self)
 
 
-def _spans(a: SkewDiagram) -> list[tuple[int, int]]:
-    return [a.row_span(i) for i in range(1, a.num_rows + 1)]
-
-
-def _from_spans(spans: list[tuple[int, int]]) -> SkewDiagram:
+def _from_spans(spans: Sequence[tuple[int, int]]) -> SkewDiagram:
     """Canonical diagram of the row spans (a, b], top row first.
 
     Empty rows at the top and bottom are dropped and the leftmost box moves
@@ -115,13 +110,13 @@ def skew_from_boxes(boxes: Iterable[tuple[int, int]]) -> SkewDiagram:
 
 def normalize(a: SkewDiagram) -> SkewDiagram:
     """Canonical representative of a under translation."""
-    return _from_spans(_spans(a))
+    return _from_spans(a.spans)
 
 
 def rotate180(a: SkewDiagram) -> SkewDiagram:
     """Half-turn of the diagram, restated as a canonical outer/inner pair."""
     w = a.num_cols
-    return _from_spans([(w - b, w - a) for a, b in reversed(_spans(a))])
+    return _from_spans([(w - b, w - a) for a, b in reversed(a.spans)])
 
 
 def box_components(boxes: Iterable[tuple[int, int]]) -> list[set[tuple[int, int]]]:
@@ -148,7 +143,7 @@ def components(a: SkewDiagram) -> list[SkewDiagram]:
     For skew shapes these are exactly the edge-connected components: runs
     of rows, each row starting left of the end of the row below it.
     """
-    spans = _spans(a)
+    spans = a.spans
     cuts = [0] + [i for i in range(1, len(spans)) if spans[i - 1][0] >= spans[i][1]] + [len(spans)]
     # an empty row is cut off on both sides and gives an empty piece
     pieces = (_from_spans(spans[i:j]) for i, j in zip(cuts, cuts[1:]))
@@ -175,7 +170,7 @@ def translate(a: SkewDiagram, down: int = 0, right: int = 0) -> SkewDiagram:
         return a
     pad = a.outer[0] + right
     outer = [pad] * down + [x + right for x in a.outer]
-    inner = [pad] * down + [a.inner[i] + right for i in range(a.outer.length)]
+    inner = [pad] * down + [lo + right for lo, _ in a.spans]
     return SkewDiagram(Partition(outer), Partition(inner))
 
 

@@ -31,6 +31,11 @@ def SD(outer, inner=()) -> SkewDiagram:
     return SkewDiagram(Partition(outer), Partition(inner))
 
 
+def boxes(a: SkewDiagram) -> list[tuple[int, int]]:
+    """The (row, col) boxes, row by row; the inverse of `skew_from_boxes`."""
+    return [(i, j) for i, (lo, hi) in enumerate(a.spans, 1) for j in range(lo + 1, hi + 1)]
+
+
 def add_partitions(mu: Partition, nu: Partition) -> Partition:
     """Componentwise sum, missing parts read as 0."""
     return Partition(mu[i] + nu[i] for i in range(max(mu.length, nu.length)))
@@ -116,7 +121,7 @@ def random_skew(
 
 def reverse_row_word_boxes(shape: SkewDiagram) -> list[tuple[int, int]]:
     """The boxes in reverse-row-word order: rows top to bottom, each right to left."""
-    return sorted(shape.boxes(), key=lambda box: (box[0], -box[1]))
+    return sorted(boxes(shape), key=lambda box: (box[0], -box[1]))
 
 
 def is_semistandard(shape: SkewDiagram, word) -> bool:
@@ -186,7 +191,7 @@ def row_by_row_decompose(a: SkewDiagram) -> CharacterSum:
     States are (kept entries, counts) pairs, each row's fillings are listed
     per state, and the answer goes through the validating constructors.
     """
-    spans = [a.row_span(i) for i in range(1, a.num_rows + 1)]
+    spans = a.spans
     states: dict[tuple, int] = {((), ()): 1}
     prev_a = 0
     for idx, (lo, hi) in enumerate(spans):
@@ -212,8 +217,7 @@ def recursive_lr_fillings(shape: SkewDiagram, content: Partition):
     the boxes were filled, so a test can pin both the fillings and their order.
     """
     order = []
-    for i in range(1, shape.num_rows + 1):
-        a, b = shape.row_span(i)
+    for i, (a, b) in enumerate(shape.spans, 1):
         order.extend((i, j) for j in range(b, a, -1))
     counts = [0] * content.length
     entries: dict[tuple[int, int], int] = {}
@@ -221,7 +225,7 @@ def recursive_lr_fillings(shape: SkewDiagram, content: Partition):
     def inside(i, j):
         if not 1 <= i <= shape.num_rows:
             return False
-        a, b = shape.row_span(i)
+        a, b = shape.spans[i - 1]
         return a < j <= b
 
     def fill(idx):
@@ -252,7 +256,7 @@ def flood_fill_profiles(a: SkewDiagram):
     """
     labels: dict[tuple[int, int], int] = {}
     layers: list[list[tuple[int, int]]] = []
-    for box in a.boxes():
+    for box in boxes(a):
         r, c = box
         v = labels.get((r - 1, c - 1), 0) + 1
         labels[box] = v
@@ -274,7 +278,7 @@ def label_map(labeling: RibbonLabeling) -> dict[tuple[int, int], int]:
     Asserts one list per row of the diagram, each as long as that row.
     """
     a = labeling.diagram
-    spans = [a.row_span(i) for i in range(1, a.num_rows + 1)]
+    spans = a.spans
     assert [len(row) for row in labeling.rows] == [hi - lo for lo, hi in spans]
     return {
         (i, j): v
@@ -285,20 +289,20 @@ def label_map(labeling: RibbonLabeling) -> dict[tuple[int, int], int]:
 
 def normalize_by_boxes(a: SkewDiagram) -> SkewDiagram:
     """Reference for `normalize`: the box set, translated by `skew_from_boxes`."""
-    return skew_from_boxes(a.boxes())
+    return skew_from_boxes(boxes(a))
 
 
 def rotate180_by_boxes(a: SkewDiagram) -> SkewDiagram:
     """Reference for `rotate180`: the half-turned box set."""
-    boxes = a.boxes()
-    rmax = max((r for r, _ in boxes), default=0)
-    cmax = max((c for _, c in boxes), default=0)
-    return skew_from_boxes((rmax + 1 - r, cmax + 1 - c) for r, c in boxes)
+    cells = boxes(a)
+    rmax = max((r for r, _ in cells), default=0)
+    cmax = max((c for _, c in cells), default=0)
+    return skew_from_boxes((rmax + 1 - r, cmax + 1 - c) for r, c in cells)
 
 
 def components_by_boxes(a: SkewDiagram) -> list[SkewDiagram]:
     """Reference for `components`: flood-filled box groups, topmost first."""
-    return [skew_from_boxes(g) for g in sorted(box_components(a.boxes()), key=min)]
+    return [skew_from_boxes(g) for g in sorted(box_components(boxes(a)), key=min)]
 
 
 def strip_by_labels(labels: dict[tuple[int, int], int], t: int) -> SkewDiagram:
@@ -312,8 +316,7 @@ LABEL_SYMBOLS = string.digits[1:] + string.ascii_lowercase + string.ascii_upperc
 def label_grid_by_labels(a: SkewDiagram, labels: dict[tuple[int, int], int]) -> str:
     """Reference for `render_labels` up to 61 layers: its former per-box code."""
     lines = []
-    for i in range(1, a.num_rows + 1):
-        lo, hi = a.row_span(i)
+    for i, (lo, hi) in enumerate(a.spans, 1):
         symbols = (LABEL_SYMBOLS[labels[(i, j)] - 1] for j in range(lo + 1, hi + 1))
         lines.append(":" * lo + "".join(symbols))
     depth = max(labels.values(), default=0)

@@ -687,6 +687,22 @@ class TestMainEntry:
             assert cli.main([verb, "1000000000"]) == EXIT_USAGE
             assert capsys.readouterr().err == f"error: a part may be at most {MAX_PARTS}\n"
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["decompose", "1,2^9999"], EXIT_PRECONDITION, "partition parts must be weakly"),
+            (["decompose", "0" * 20_000 + "x"], EXIT_USAGE, "bad partition token"),
+            (["schubert", "1", "1", "--box", "7" * 3_000 + ",1"], EXIT_USAGE, "--box expects K,L"),
+        ],
+        ids=["partition", "token", "box"],
+    )
+    def test_long_inputs_are_not_echoed_whole(self, capsys, argv, code, message):
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err.encode()) < 200
+
     def test_usage_exit(self):
         proc = subprocess.run(
             [sys.executable, "-m", "skewchar", "nonsense"], capture_output=True, text=True

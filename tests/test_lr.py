@@ -195,7 +195,7 @@ class TestDecompose:
     def test_empty_middle_row(self):
         # the empty second row splits each diagram into two pieces
         for a in (SD((6, 5, 3, 3, 2), (5, 5, 1)), SD((4, 2, 2, 1), (2, 2))):
-            assert a.row_span(2)[0] == a.row_span(2)[1]
+            assert a.spans[1][0] == a.spans[1][1]
             assert len(components(a)) == 2
             assert decompose_skew(a) == brute_decompose(a)
 
@@ -208,7 +208,7 @@ class TestDecompose:
     def test_matches_row_by_row_reference(self):
         # terms, multiplicities and items() order of the former per-state search
         def has_empty_middle_row(a):
-            return any(lo == hi for lo, hi in map(a.row_span, range(2, a.num_rows)))
+            return any(lo == hi for lo, hi in a.spans[1:-1])
 
         rng = random.Random(25)
         cases = [random_skew(rng, 9, 9, 30) for _ in range(80)]

@@ -231,6 +231,22 @@ class TestGrammar:
             with pytest.raises(GrammarError, match="at most"):
                 parse_partition(text)
 
+    def test_error_messages_clip_long_inputs(self):
+        # short inputs are quoted whole, long ones cut to 60 characters and '...'
+        with pytest.raises(ValueError, match=r"^partition parts must be weakly decreasing, got \[2, 3\]$"):
+            Partition([2, 3])
+        for make, message in (
+            (lambda: Partition([1] + [2] * 5000), "partition parts must be weakly decreasing, got "),
+            (lambda: Partition([1] * 5000 + [-1]), "partition parts must be positive integers, got "),
+            (lambda: parse_partition("0" * 5000 + "x"), "bad partition token "),
+            (lambda: parse_partition("1^" + "0" * 5000), "exponent must be positive in "),
+        ):
+            with pytest.raises(ValueError) as err:
+                make()
+            text = str(err.value)
+            assert text.startswith(message) and text.endswith("...")
+            assert len(text) == len(message) + 63
+
     def test_format_uses_exponents(self):
         assert format_partition(P(10, 10, 8, 8, 8, 8, 5, 5)) == "10^2,8^4,5^2"
         assert format_partition(Partition()) == ""

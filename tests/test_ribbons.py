@@ -144,6 +144,27 @@ class TestStrip:
                 assert shape == [(p.size, p.k, p.arm, p.leg) for p in level0[t:]]
                 assert [p.index for p in stripped] == [p.index - t for p in level0[t:]]
 
+    def test_pinned_empty_rows_match_the_labels(self):
+        # row 2 of each diagram is empty, between two occupied rows
+        for a in (SD((3, 2, 1), (2, 2)), SD((6, 5, 3, 3, 2), (5, 5, 1)), SD((4, 2, 2, 1), (2, 2))):
+            assert a.spans[1][0] == a.spans[1][1]
+            labels = label_map(nw_labeling(a))
+            for t in range(pi_nw(a).length + 1):
+                assert strip_nw_ribbons(a, t) == strip_by_labels(labels, t)
+
+    def test_builds_only_its_result(self, monkeypatch):
+        a = SD((8, 8, 7, 4, 3, 3), (4, 3, 2))
+        made = []
+        check = SkewDiagram.__post_init__
+
+        def counted(diagram):
+            made.append(diagram)
+            check(diagram)
+
+        monkeypatch.setattr(SkewDiagram, "__post_init__", counted)
+        stripped = strip_nw_ribbons(a, 2)
+        assert len(made) == 1 and made[0] is stripped
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             strip_nw_ribbons(SD((2, 2), (1,)), 2)
@@ -193,7 +214,7 @@ class TestCountingPass:
         randoms = [_random_rows(rng, rng.randint(1, 9), rng.randint(1, 12)) for _ in range(2000)]
         for a in [SD((), ()), SD((3, 3), (3, 3)), SD((4, 1, 1), (4,))] + randoms:
             self._assert_matches_reference(a)
-            spans = [a.row_span(i) for i in range(1, a.num_rows + 1)]
+            spans = a.spans
             shapes["empty middle row"] += any(lo == hi for lo, hi in spans[1:-1])
             shapes["disconnected"] += len(components(a)) > 1
         assert min(shapes.values()) >= 100, shapes

@@ -22,6 +22,7 @@ from skewchar import (
 from helpers import (
     P,
     SD,
+    boxes,
     components_by_boxes,
     label_map,
     normalize_by_boxes,
@@ -49,12 +50,31 @@ class TestConstruction:
     def test_size_and_boxes(self):
         a = SD((3, 1), (1,))
         assert a.size == 3
-        assert a.boxes() == [(1, 2), (1, 3), (2, 1)]
+        assert boxes(a) == [(1, 2), (1, 3), (2, 1)]
 
     def test_row_and_column_lengths(self):
         a = SD((3, 3, 1), (1, 1))
         assert a.row_lengths() == [2, 2, 1]
         assert a.column_heights() == [1, 2, 2]
+
+
+class TestSpans:
+    def test_examples(self):
+        assert SD((), ()).spans == ()
+        assert SD((3, 3), (3, 3)).spans == ((3, 3), (3, 3))
+        # an inner partition shorter than the outer one reads 0 past its end
+        assert SD((4, 2, 1), (1,)).spans == ((1, 4), (0, 2), (0, 1))
+        # the second row is empty, pinned between two occupied rows
+        assert parse_skew("3,2,1/2,2").spans == ((2, 3), (2, 2), (0, 1))
+
+    def test_rows_of_random_diagrams(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            a = random_skew_with_empty_rows(rng)
+            assert len(a.spans) == a.num_rows
+            assert [hi for _, hi in a.spans] == list(a.outer.parts)
+            assert [lo for lo, _ in a.spans if lo] == list(a.inner.parts)
+            assert sum(hi - lo for lo, hi in a.spans) == a.size
 
 
 class TestNormalize:
@@ -171,7 +191,7 @@ class TestEmptyRows:
 
         a = parse_skew("6,6,5,2,2,1/6,4,3,2,1")
         expected = (normalize(a), rotate180(a), components(a), strip_nw_ribbons(a, 1))
-        monkeypatch.setattr(SkewDiagram, "boxes", no_boxes)
+        monkeypatch.setattr(skew, "box_components", no_boxes)
         monkeypatch.setattr(skew, "skew_from_boxes", no_boxes)
         assert (normalize(a), rotate180(a), components(a), strip_nw_ribbons(a, 1)) == expected
         assert full_equality(a, translate(a, 2, 1)) == (True, None)
@@ -214,7 +234,7 @@ class TestBoxSets:
         rng = random.Random(12)
         for _ in range(50):
             a = normalize(random_skew(rng))
-            assert skew_from_boxes(a.boxes()) == a
+            assert skew_from_boxes(boxes(a)) == a
 
 
 class TestGrammar:
