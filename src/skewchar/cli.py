@@ -32,6 +32,7 @@ from .partitions import (
     GrammarError,
     Partition,
     _echo,
+    _format_parts,
     durfee,
     format_partition,
     parse_partition,
@@ -60,6 +61,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+# ASCII digits only, at most 9 of them: so int() is cheap and no message
+# that repeats the value can grow with it
+_COUNT = re.compile(r"-?[0-9]{1,9}")
+
+
+def _count(text: str) -> int:
+    """The integer value of a `--strip` or `--max-boxes` argument; negatives are refused later."""
+    if not _COUNT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(repr(text))}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="skewchar", description="Exact skew character computations")
@@ -74,9 +87,9 @@ def _build_parser() -> _Parser:
         if verify:
             sp.add_argument("--verify", action="store_true")
         if max_boxes:
-            sp.add_argument("--max-boxes", type=int, default=30, metavar="N")
+            sp.add_argument("--max-boxes", type=_count, default=30, metavar="N")
         if strip:
-            sp.add_argument("--strip", type=int, default=0, metavar="T")
+            sp.add_argument("--strip", type=_count, default=0, metavar="T")
         if exhaustive:
             sp.add_argument("--exhaustive", action="store_true")
 
@@ -158,8 +171,45 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return cmd
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)` for what reports hold: str-keyed dicts, lists, str, int, bool, None.
+
+    `pad` is the newline and indentation of the enclosing level.  With
+    `indent` set, `json.dumps` takes its pure-Python encoder, which builds a
+    `JSONEncoder` and closure cycles on every call.
+    """
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        fields = [f"{_quote(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(fields) + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            items = map(str, obj)
+        else:
+            items = [_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _json(obj) + "\n"
 
 
 @functools.cache
@@ -169,21 +219,40 @@ def _term_template(length: int) -> str:
     return '    {\n      "partition": ' + parts + ',\n      "mult": %d\n    }'
 
 
-def _character_sum_json(cs: CharacterSum) -> str:
-    """`_json_text(cs.to_json_dict())`, written term by term.
+# terms formatted and joined at a time: a large sum's text is built from
+# a few chunk strings, never from one string per term held all at once
+_CHUNK = 1024
 
-    `json.dumps` falls back to its pure-Python encoder whenever `indent` is
-    set, which made the output of large sums cost as much as their search.
+
+def _term_chunks(cs: CharacterSum, line, sep: str) -> list[str]:
+    """`sep.join` of `line(parts, mult)` over the terms, descending, one string per `_CHUNK` terms."""
+    terms, keys = cs._terms, cs._sorted_parts()
+    return [
+        sep.join([line(parts, terms[parts]) for parts in keys[i : i + _CHUNK]])
+        for i in range(0, len(keys), _CHUNK)
+    ]
+
+
+def _character_sum_json(cs: CharacterSum) -> str:
+    """`_json_text(cs.to_json_dict())`, written chunk by chunk.
+
+    The brackets go on the first and last chunk, so the one final join is
+    the only copy of the whole text.
     """
-    terms = [_term_template(len(parts)) % (parts + (mult,)) for parts, mult in cs._sorted_parts()]
-    listed = "[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"
-    return f'{{\n  "weight": {cs.weight},\n  "terms": {listed}\n}}\n'
+    head = f'{{\n  "weight": {cs.weight},\n  "terms": '
+    chunks = _term_chunks(cs, lambda parts, mult: _term_template(len(parts)) % (*parts, mult), ",\n")
+    if not chunks:
+        return head + "[]\n}\n"
+    chunks[0] = head + "[\n" + chunks[0]
+    chunks[-1] += "\n  ]\n}\n"
+    return ",\n".join(chunks)
 
 
 def _character_sum_text(cs: CharacterSum) -> str:
-    lines = [f"weight {cs.weight}, {len(cs)} terms"]
-    lines.extend(f"  [{format_partition(nu)}]  {mult}" for nu, mult in cs.items())
-    return "\n".join(lines) + "\n"
+    chunks = _term_chunks(cs, lambda parts, mult: f"  [{_format_parts(parts)}]  {mult}", "\n")
+    chunks.insert(0, f"weight {cs.weight}, {len(cs)} terms")
+    chunks[-1] += "\n"
+    return "\n".join(chunks)
 
 
 def _oracle_diagram(cmd: argparse.Namespace) -> SkewDiagram:

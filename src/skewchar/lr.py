@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Iterator, Mapping
 from itertools import groupby, islice
-from operator import itemgetter
 
 from .partitions import Partition, contains
 from .skew import SkewDiagram, embed_disjoint
@@ -155,13 +154,14 @@ class CharacterSum:
         cs._weight, cs._terms = weight, terms
         return cs
 
-    def _sorted_parts(self) -> list[tuple[tuple[int, ...], int]]:
-        # tuple order is the order of Partition.__lt__; keys are unique, and a
-        # C key function lets the sort compare parts tuples of ints directly
-        return sorted(self._terms.items(), key=itemgetter(0), reverse=True)
+    def _sorted_parts(self) -> list[tuple[int, ...]]:
+        # tuple order is the order of Partition.__lt__, and sorting the keys
+        # alone holds no (parts, mult) pair per term
+        return sorted(self._terms, reverse=True)
 
     def items(self) -> list[tuple[Partition, int]]:
-        return [(Partition._trusted(parts), mult) for parts, mult in self._sorted_parts()]
+        terms = self._terms
+        return [(Partition._trusted(parts), terms[parts]) for parts in self._sorted_parts()]
 
     def support(self) -> list[Partition]:
         return [nu for nu, _ in self.items()]
@@ -195,7 +195,8 @@ class CharacterSum:
         return {
             "weight": self._weight,
             "terms": [
-                {"partition": list(parts), "mult": mult} for parts, mult in self._sorted_parts()
+                {"partition": list(parts), "mult": self._terms[parts]}
+                for parts in self._sorted_parts()
             ],
         }
 
@@ -226,9 +227,13 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
         # Counts are positive, so only undoing a new value leaves a zero, at the end.
         entries = [0] * (width + 1)
         cols = range(a - prev_a, b - prev_a)  # this row's columns, indexed into prev
-        for prev, group in groups.items():
+        # each group, and each state in it, is popped as it is read: the row
+        # read shrinks while the next one grows, so the two are never held whole
+        while groups:
+            prev, group = groups.popitem()
             lows = [prev[j] + 1 if 0 <= j < len(prev) else 1 for j in cols]
-            for counts, mult in group.items():
+            while group:
+                counts, mult = group.popitem()
                 cnt = list(counts)
                 n = len(cnt) - 1
                 entries[width] = n + 1 if n < l else l
@@ -263,9 +268,15 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
                     v += 1
         groups, prev_a = new_groups, a
     # the last row keeps nothing, so at most one group is left.  Its counts
-    # are partitions: lattice counts are positive and weakly decreasing.  A
-    # fresh dict, without k: adopting the search's own raised peak memory.
-    return CharacterSum._trusted(diagram.size, {c[1:]: m for c, m in groups.get((), {}).items()})
+    # are partitions: lattice counts are positive and weakly decreasing.
+    # Popping each state as k is cut off frees its count tuple at once, so
+    # the final row and the answer are never both held whole.
+    final = groups.pop((), {})
+    terms = {}
+    while final:
+        counts, mult = final.popitem()
+        terms[counts[1:]] = mult
+    return CharacterSum._trusted(diagram.size, terms)
 
 
 def outer_product(alpha: Partition, beta: Partition) -> CharacterSum:

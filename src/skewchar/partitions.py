@@ -193,8 +193,12 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(p: Partition) -> str:
     """Inverse of parse_partition; repeated parts are written with exponents."""
+    return _format_parts(p.parts)
+
+
+def _format_parts(parts: tuple[int, ...]) -> str:
+    """`format_partition` from a parts tuple, with no `Partition` made."""
     out = []
-    parts = p.parts
     i = 0
     while i < len(parts):
         j = i

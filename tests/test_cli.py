@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +47,15 @@ from skewchar.cli import (
 
 from skewchar.partitions import MAX_PARTS, format_partition, parse_partition
 
-from helpers import LABEL_SYMBOLS, P, SD, flood_fill_profiles, random_partition, random_skew
+from helpers import (
+    LABEL_SYMBOLS,
+    P,
+    SD,
+    flood_fill_profiles,
+    partitions_of_weight_in_box,
+    random_partition,
+    random_skew,
+)
 
 EXAMPLE_GRID_A = (
     ":::::11111\n"
@@ -189,6 +199,43 @@ class TestParse:
         assert "inner not contained in outer" in str(err.value)
 
 
+STAIRCASE_11_4 = SD(range(11, 0, -1), range(4, 0, -1))
+
+
+@pytest.fixture(scope="module")
+def writer_sums():
+    """Character sums that test the sum writers: random ones, edge cases, and
+    sums of one term either side of a chunk, and more than five chunks."""
+    rng = random.Random(31)
+    sums = [
+        CharacterSum(0, {}),
+        CharacterSum(0, {Partition(): 1}),
+        decompose_skew(SD((2, 1), (2, 1))),
+        schubert_product(P(2), P(2), 1, 1),
+    ]
+    for _ in range(20):
+        sums.append(decompose_skew(random_skew(rng, 6, 6, 12)))
+        alpha, beta = random_partition(rng, 4, 3), random_partition(rng, 4, 3)
+        sums.append(outer_product(alpha, beta))
+        sums.append(schubert_product(alpha, beta, rng.randint(1, 6), rng.randint(1, 6)))
+    disjoint = lambda n: SD(range(n, 0, -1), range(n - 1, 0, -1))
+    sums += [
+        decompose_skew(SD([1] * 25, ())),
+        decompose_skew(disjoint(12)),
+        decompose_skew(disjoint(25)),
+        decompose_skew(SD((), ())),
+        decompose_skew(SD((8, 7, 6, 5, 4, 3, 2, 1), (3, 2, 1))),
+        outer_product(P(130, 4), P(3, 1)),
+        decompose_skew(SD((250, 120, 3), (100, 2))),
+        decompose_skew(STAIRCASE_11_4),
+    ]
+    # the 1 575 partitions of 24, with multiplicities up to 10^6
+    of_24 = list(partitions_of_weight_in_box(24, 24, 24))
+    for n in (cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1):
+        sums.append(CharacterSum(24, {nu: rng.randint(1, 10**6) for nu in rng.sample(of_24, n)}))
+    return sums
+
+
 def _with_layer(labeling, index, **change):
     """The labeling with one layer profile changed."""
     return dataclasses.replace(labeling, profiles=_changed(labeling.profiles, index, **change))
@@ -214,38 +261,111 @@ class TestRun:
             '        2,\n        1\n      ],\n      "mult": 1\n    }\n  ]\n}\n'
         )
 
-    def test_character_sum_json_matches_json_module(self):
-        rng = random.Random(31)
-        sums = [
-            CharacterSum(0, {}),
-            CharacterSum(0, {Partition(): 1}),
-            decompose_skew(SD((2, 1), (2, 1))),
-            schubert_product(P(2), P(2), 1, 1),
-        ]
-        for _ in range(20):
-            sums.append(decompose_skew(random_skew(rng, 6, 6, 12)))
-            alpha, beta = random_partition(rng, 4, 3), random_partition(rng, 4, 3)
-            sums.append(outer_product(alpha, beta))
-            sums.append(schubert_product(alpha, beta, rng.randint(1, 6), rng.randint(1, 6)))
-        disjoint = lambda n: SD(range(n, 0, -1), range(n - 1, 0, -1))
-        sums += [
-            decompose_skew(SD([1] * 25, ())),
-            decompose_skew(disjoint(12)),
-            decompose_skew(disjoint(25)),
-            decompose_skew(SD((), ())),
-            decompose_skew(SD((8, 7, 6, 5, 4, 3, 2, 1), (3, 2, 1))),
-            outer_product(P(130, 4), P(3, 1)),
-            decompose_skew(SD((250, 120, 3), (100, 2))),
-        ]
-        assert any(cs.total_multiplicity() > len(cs) for cs in sums)
-        lengths = {nu.length for cs in sums for nu in cs.support()}
+    def test_character_sum_json_matches_json_module(self, writer_sums):
+        assert {len(cs) for cs in writer_sums} >= {cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1}
+        assert max(map(len, writer_sums)) > 5_000
+        assert any(cs.total_multiplicity() > len(cs) for cs in writer_sums)
+        lengths = {nu.length for cs in writer_sums for nu in cs.support()}
         assert set(range(26)) <= lengths
-        assert max(nu[0] for cs in sums for nu in cs.support()) >= 100
-        assert max(m for cs in sums for _, m in cs.items()) >= 1000
-        for cs in sums:
+        assert max(nu[0] for cs in writer_sums for nu in cs.support()) >= 100
+        assert max(m for cs in writer_sums for _, m in cs.items()) >= 1000
+        for cs in writer_sums:
             assert cli._character_sum_json(cs) == json.dumps(cs.to_json_dict(), indent=2) + "\n"
             assert CharacterSum(cs.weight, dict(cs.items())) == cs
             assert cs.support() == sorted(cs.support(), reverse=True)
+
+    def test_character_sum_text_matches_per_term_lines(self, writer_sums):
+        for cs in writer_sums:
+            lines = [f"weight {cs.weight}, {len(cs)} terms"]
+            lines.extend(f"  [{format_partition(nu)}]  {mult}" for nu, mult in cs.items())
+            assert cli._character_sum_text(cs) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("writer", ["_character_sum_json", "_character_sum_text"])
+    def test_sum_writer_holds_no_string_per_term(self, writer):
+        # 5 027 terms: one string per term held at once, then the whole text
+        # copied again, cost 3.45 times the text for JSON, 7.6 times for plain
+        # text; chunk by chunk, 2.0 times
+        cs = decompose_skew(STAIRCASE_11_4)
+        write = getattr(cli, writer)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            text = write(cs)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ribbons", "10^2,8^4,5^2 / 5^4", "--strip", "1"],
+            ["ribbons", ""],
+            ["maxhook", "8^2,7,4,3^2 / 4,3,2"],
+            ["durfee", "3,3,2/1,1", "--exhaustive"],
+            ["durfee-product", "5^2,3^2,2", "4,3,1^2"],
+            ["eqcheck", "10^2,8^4,5^2 / 5^4", "10^4,8^2,3^2 / 5^4", "--full"],
+            ["eqcheck", "2,1", "2,1", "--full"],
+            ["eqcheck", "2", "1,1"],
+            ["eqcheck", "", ""],
+        ],
+        ids=[
+            "ribbons",
+            "ribbons-empty",
+            "maxhook",
+            "durfee",
+            "durfee-product",
+            "eqcheck-discrepancy",
+            "eqcheck-equal",
+            "eqcheck-structural",
+            "eqcheck-null",
+        ],
+    )
+    def test_report_json_matches_json_module(self, monkeypatch, argv):
+        payloads = []
+
+        def kept(obj):
+            payloads.append(obj)
+            return json_text(obj)
+
+        json_text = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", kept)
+        code, text = run(parse_args([*argv, "--json"]))
+        assert code in (EXIT_OK, EXIT_UNEQUAL, EXIT_STRUCTURAL)
+        [payload] = payloads
+        assert text == json.dumps(payload, indent=2) + "\n"
+        if argv[0] == "eqcheck":
+            full = payload["full_check"]
+            assert (full is None) == ("--full" not in argv)
+            if code == EXIT_UNEQUAL:
+                assert full["first_discrepancy"]["partition"] == [10, 10, 8, 7, 4, 3]
+
+    def test_json_writer_matches_json_module_on_every_value_kind(self):
+        values = [
+            None,
+            True,
+            0,
+            -7,
+            10**30,
+            "",
+            'a "quoted" \\ line\n\tend',
+            "\u00e9\u2014\U0001d11e\x00",
+            [],
+            {},
+            [[]],
+            [{}],
+            {"": []},
+            [1, -2, 3],
+            [True, 1, False],
+            [1, None],
+            ["x", [1, [2, []]], {"k": {"j": None}}],
+            {"levels": [{"level": 0, "ok": False}], "verdict": {"fail": {"at": 2}}, "n": None},
+        ]
+        for value in values:
+            assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"
+        with pytest.raises(TypeError):
+            cli._json_text({"x": 1.5})
 
     def test_json_makes_no_partition_per_term(self, monkeypatch):
         def refused(cls, parts):
@@ -693,8 +813,11 @@ class TestMainEntry:
             (["decompose", "1,2^9999"], EXIT_PRECONDITION, "partition parts must be weakly"),
             (["decompose", "0" * 20_000 + "x"], EXIT_USAGE, "bad partition token"),
             (["schubert", "1", "1", "--box", "7" * 3_000 + ",1"], EXIT_USAGE, "--box expects K,L"),
+            (["ribbons", "2,1", "--strip", "9" * 4_000], EXIT_USAGE, "argument --strip: invalid"),
+            (["maxhook", "2,1", "--strip", "1" * 10], EXIT_USAGE, "argument --strip: invalid"),
+            (["decompose", "2,1", "--max-boxes", "9" * 5_000], EXIT_USAGE, "argument --max-boxes"),
         ],
-        ids=["partition", "token", "box"],
+        ids=["partition", "token", "box", "strip", "strip-ten-digits", "max-boxes"],
     )
     def test_long_inputs_are_not_echoed_whole(self, capsys, argv, code, message):
         assert cli.main(argv) == code
