@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .extremal import max_hl_characters, min_durfee
 from .lr import CharacterSum, brute_decompose, decompose_skew, schubert_product
-from .partitions import Partition, contains, durfee
+from .partitions import Partition, _format_parts, contains, durfee
 from .skew import SkewDiagram, embed_disjoint
 
 
@@ -59,9 +59,15 @@ def complement(nu: Partition, k: int, l: int) -> Partition:
     """Rotated complement of nu inside the k x l box; an involution."""
     if k < 1 or l < 1:
         raise ValueError("box sides must be positive")
-    if nu[0] > k or nu.length > l:
-        raise ValueError(f"partition {nu} does not fit inside ({k}^{l})")
-    return Partition(k - nu[l - 1 - i] for i in range(l))
+    return Partition._trusted(_complement_parts(nu.parts, k, l))
+
+
+def _complement_parts(parts: tuple[int, ...], k: int, l: int) -> tuple[int, ...]:
+    """`complement` on a parts tuple, with no `Partition` made or validated."""
+    if parts and (parts[0] > k or len(parts) > l):
+        raise ValueError(f"partition {_format_parts(parts)} does not fit inside ({k}^{l})")
+    # the empty rows below nu become full rows; its full rows, empty ones
+    return (k,) * (l - len(parts)) + tuple([k - x for x in reversed(parts) if x < k])
 
 
 def associated_diagram(alpha: Partition, beta: Partition) -> tuple[int, SkewDiagram]:
@@ -85,7 +91,7 @@ def _durfee_report(m: int, assoc: SkewDiagram, full: CharacterSum | None) -> Dur
         dmax = max(durfee(nu) for nu in full.support())
         if dmax != d:
             raise AssertionError(f"oracle Durfee maximum {dmax} disagrees with formula {d}")
-        wits = tuple(DurfeeWitness(nu, mult) for nu, mult in full.items() if durfee(nu) == d)
+        wits = tuple([DurfeeWitness(nu, mult) for nu, mult in full.items() if durfee(nu) == d])
     else:
         max_hl = max_hl_characters(assoc)
         d = m - max_hl.min_durfee
@@ -138,7 +144,9 @@ def verify_complementation(mu: Partition, lam: Partition, k: int, l: int) -> boo
 
     The coefficient of every alpha inside the box in [lam/mu] must equal the
     coefficient of its complement in the box-restricted product of mu with
-    the complement of lam.
+    the complement of lam.  The two sums are compared as their parts
+    tuples, each term of the skew side complemented; a term outside the
+    box raises `ValueError`.
     """
     if not contains(mu, lam):
         raise ValueError("mu must be contained in lam")
@@ -147,5 +155,5 @@ def verify_complementation(mu: Partition, lam: Partition, k: int, l: int) -> boo
     skew_side = decompose_skew(SkewDiagram(lam, mu))
     product_side = schubert_product(mu, complement(lam, k, l), k, l)
     # both supports lie in the box, where complement is a bijection
-    complemented = {complement(alpha, k, l): m for alpha, m in skew_side.items()}
-    return complemented == dict(product_side.items())
+    complemented = {_complement_parts(alpha, k, l): m for alpha, m in skew_side._terms.items()}
+    return complemented == product_side._terms

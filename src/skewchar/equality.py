@@ -105,7 +105,7 @@ def necessary_conditions(a: SkewDiagram, b: SkewDiagram) -> EqualityReport:
         None,
     )
     return EqualityReport(
-        levels=tuple(LevelRecord(t, *level_flags) for t, level_flags in enumerate(flags)),
+        levels=tuple([LevelRecord(t, *level_flags) for t, level_flags in enumerate(flags)]),
         passed=failure is None,
         fail_level=failure[0] if failure else None,
         fail_condition=failure[1] if failure else None,

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .partitions import Partition, conjugate, from_frobenius
+from .partitions import Partition, _echo, conjugate, from_frobenius
 from .ribbons import RibbonProfile, nw_layers
 from .skew import SkewDiagram
 
@@ -89,7 +89,10 @@ def max_hl_characters(a: SkewDiagram) -> MaxHookReport:
     ks = [p.k for p in profiles]
     count = math.prod(ks)
     if count > MAX_WITNESSES:
-        raise TooManyWitnesses(f"{count} witnesses, more than {MAX_WITNESSES}")
+        # quoted like an input: its leading digits, cut to about 62 first,
+        # since str() refuses an int past 4 300 digits
+        cut = max(0, (count.bit_length() - 1) * 3 // 10 - 61)
+        raise TooManyWitnesses(f"{_echo(str(count // 10**cut))} witnesses, more than {MAX_WITNESSES}")
     witnesses = []
     for choice in itertools.product(*(range(k) for k in ks)):
         w_arms = [p.arm + c for p, c in zip(profiles, choice)]

@@ -12,22 +12,26 @@ merges partial fillings that agree on everything later rows can see: the
 previous row's entries over the shared columns, which group the states,
 and the running content counts.
 The merge keeps multiplicities exact while collapsing the search tree.
+The search starts below the forced top block, the leading rows that share
+the first row's inner part, whose only filling puts r in every box of
+row r.
 The final counts are partitions by construction, so the sum keeps the
 count tuples the search built, unvalidated; `CharacterSum.items()` and
-`support()` are what make `Partition` objects of them.  `outer_product` is
-that search on the two factors side by side, and `schubert_product` the
-same with its box capping each row as it is filled: one engine, as in
-Buch's lrcalc, serves skew shapes, products and Schubert products.
+`support()` are what make `Partition` objects of them.  `outer_product`
+hands that search the row spans of the two factors side by side, the
+heavier on top as its start state, and `schubert_product` the same with
+its box capping each row as it is filled: one engine, as in Buch's
+lrcalc, serves skew shapes, products and Schubert products.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import groupby, islice
 
 from .partitions import Partition, contains
-from .skew import SkewDiagram, embed_disjoint
+from .skew import SkewDiagram
 
 
 def enumerate_lr_fillings(
@@ -206,16 +210,37 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
 
     The box caps each row as it is filled: at most k ones, at most l values.
     """
+    return _search(diagram.spans, diagram.size, box)
+
+
+def _search(spans: Sequence[tuple[int, int]], size: int, box: tuple[int, int] | None) -> CharacterSum:
+    """The merged search over the row spans (a, b] of a skew shape of `size` boxes."""
     # an empty row changes no counts, and the rows around it share no column
-    spans = [(a, b) for a, b in diagram.spans if a < b]
-    k, l = box or (diagram.size, len(spans))  # else the caps the diagram implies
+    spans = [(a, b) for a, b in spans if a < b]
+    k, l = box or (size, len(spans))  # else the caps the diagram implies
     l = l if k > 0 else 0  # without a 1 no value opens
+    # The top block, the leading t rows that share the first row's inner
+    # part, is not searched: each of its rows lies under the one above, so
+    # its only LR filling puts r in every box of row r.  The search starts
+    # below it from that one state, unless the block itself breaks the box.
+    top_a = spans[0][0] if spans else 0
+    t = 0
+    while t < len(spans) and spans[t][0] == top_a:
+        t += 1
+    # from a list: a tuple built from a generator is resized, and CPython
+    # parks it on another size's free list when it is freed
+    top = tuple([b - top_a for _, b in spans[:t]])
+    if t and (top[0] > k or t > l):
+        return CharacterSum._trusted(size, {})
+    spans = spans[t:]
     # previous row entries kept for the next row, from column prev_a + 1
     # -> (k, running content counts) -> number of partial fillings reaching them.
     # With k leading, the lattice test cnt[v - 1] > cnt[v] caps the 1s too;
     # counts only grow, so a state the caps refuse could never fit the box.
-    groups: dict[tuple, dict[tuple, int]] = {(): {(k,): 1}}
-    prev_a = 0
+    # Row t keeps its t's over the columns it shares with the next row.
+    keep = max(0, min(top[-1], spans[0][1] - top_a)) if spans else 0
+    groups: dict[tuple, dict[tuple, int]] = {(t,) * keep: {(k, *top): 1}}
+    prev_a = top_a
     for (a, b), (_, next_b) in zip(spans, spans[1:] + [(0, 0)]):
         keep = max(0, min(b, next_b) - a)
         width = b - a
@@ -276,26 +301,29 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
     while final:
         counts, mult = final.popitem()
         terms[counts[1:]] = mult
-    return CharacterSum._trusted(diagram.size, terms)
+    return CharacterSum._trusted(size, terms)
 
 
 def outer_product(alpha: Partition, beta: Partition) -> CharacterSum:
     """Decomposition of the induced product character of two irreducibles.
 
     The product is the skew character of the two diagrams side by side,
-    which share no row or column; the heavier factor goes on top.
+    which share no row or column.  Their row spans go to the search with
+    the heavier factor on top, where it is the forced start state.
     """
-    return decompose_skew(_product_diagram(alpha, beta))
+    return _search(_product_spans(alpha, beta), alpha.weight + beta.weight, None)
 
 
 def schubert_product(alpha: Partition, beta: Partition, k: int, l: int) -> CharacterSum:
-    """Outer product inside the k x l rectangle; the heavier factor's forced filling on top."""
+    """Outer product inside the k x l rectangle; the heavier factor is the start state."""
     if k < 1 or l < 1:
         raise ValueError("rectangle sides must be positive")
-    return decompose_skew(_product_diagram(alpha, beta), box=(k, l))
+    return _search(_product_spans(alpha, beta), alpha.weight + beta.weight, (k, l))
 
 
-def _product_diagram(alpha: Partition, beta: Partition) -> SkewDiagram:
-    # on top, the heavier factor takes the forced filling 1s, 2s, ... row by row
-    pair = (alpha, beta) if alpha.weight >= beta.weight else (beta, alpha)
-    return embed_disjoint(*pair)
+def _product_spans(alpha: Partition, beta: Partition) -> list[tuple[int, int]]:
+    # the rows of embed_disjoint(heavier, lighter), with no diagram made:
+    # the heavier factor northeast, the lighter one below and to its left
+    top, low = (alpha.parts, beta.parts) if alpha.weight >= beta.weight else (beta.parts, alpha.parts)
+    w = low[0] if low else 0
+    return [(w, w + x) for x in top] + [(0, x) for x in low]

@@ -8,6 +8,7 @@ equality.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Iterable, Iterator
 from functools import total_ordering
@@ -103,7 +104,9 @@ def conjugate(p: Partition) -> Partition:
 
 def contains(mu: Partition, lam: Partition) -> bool:
     """True if the diagram of mu fits inside the diagram of lam."""
-    return all(mu[i] <= lam[i] for i in range(mu.length))
+    # parts are positive, so no part of mu fits past the end of lam
+    m, n = mu._parts, lam._parts
+    return len(m) <= len(n) and all(map(operator.le, m, n))
 
 
 def durfee(p: Partition) -> int:

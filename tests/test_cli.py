@@ -826,6 +826,18 @@ class TestMainEntry:
         assert captured.err.startswith(f"error: {message}")
         assert len(captured.err.encode()) < 200
 
+    def test_witness_count_is_not_printed_whole(self, capsys):
+        # 40 disjoint 40 x 40 squares: 40 layers of 40 ribbons, 40^40 witnesses (65 digits)
+        outer = ",".join(f"{40 * i}^40" for i in range(40, 0, -1))
+        inner = ",".join(f"{40 * i}^40" for i in range(39, 0, -1))
+        assert cli.main(["maxhook", f"{outer}/{inner}"]) == EXIT_TOO_LARGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"refusing witness list: {str(40**40)[:60]}... witnesses, more than {extremal.MAX_WITNESSES}\n"
+        )
+        assert len(captured.err.encode()) < 200
+
     def test_usage_exit(self):
         proc = subprocess.run(
             [sys.executable, "-m", "skewchar", "nonsense"], capture_output=True, text=True

@@ -201,6 +201,17 @@ class TestComplementationIdentity:
         monkeypatch.setattr(durfeemax, "schubert_product", changed)
         assert not verify_complementation(P(1), P(3, 2, 1), 3, 3)
 
+    def test_a_term_outside_the_box_raises(self, monkeypatch):
+        original = durfeemax.decompose_skew
+
+        def widened(a):
+            cs = original(a)
+            return CharacterSum(cs.weight, {**dict(cs.items()), Partition([cs.weight]): 1})
+
+        monkeypatch.setattr(durfeemax, "decompose_skew", widened)
+        with pytest.raises(ValueError, match=r"^partition 5 does not fit inside \(3\^3\)$"):
+            verify_complementation(P(1), P(3, 2, 1), 3, 3)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             verify_complementation(P(3), P(2, 2), 2, 2)

@@ -5,6 +5,7 @@ import pytest
 from skewchar import (
     MAX_WITNESSES,
     Partition,
+    RibbonProfile,
     SkewDiagram,
     TooManyWitnesses,
     associated_diagram,
@@ -16,6 +17,7 @@ from skewchar import (
     max_hl_characters,
     min_durfee,
     nw_labeling,
+    nw_layers,
     pi_max,
     pi_min,
     principal_hook_lengths,
@@ -138,6 +140,15 @@ class TestMaxHlCharacters:
         with pytest.raises(TooManyWitnesses, match=f"^{2**17} witnesses, more than {MAX_WITNESSES}$"):
             max_hl_characters(squares(17))
         assert len(frobenius_calls) == 1  # gamma, and no witness
+
+    def test_count_past_the_str_limit_is_clipped(self, monkeypatch):
+        # 1 000 layers of 10^5 ribbons: a 5 001-digit count, which str() refuses
+        a = SD((3, 3), (1,))
+        hl, _ = nw_layers(a)
+        profiles = tuple(RibbonProfile(i, 1, 10**5, 999 - i, 999 - i) for i in range(1000))
+        monkeypatch.setattr(extremal, "nw_layers", lambda diagram: (hl, profiles))
+        with pytest.raises(TooManyWitnesses, match=f"^1{'0' * 59}\\.\\.\\. witnesses, more than {MAX_WITNESSES}$"):
+            max_hl_characters(a)
 
 
 class TestOracleAgreement:

@@ -323,6 +323,54 @@ class TestBoxCap:
             assert decompose_skew(SD((), ()), box=box) == decompose_skew(SD((), ()))
 
 
+def _block_skew(rng: random.Random) -> SkewDiagram:
+    """A random diagram whose top rows share their inner part a, above rows that start left of a."""
+    while True:
+        t, a = rng.randint(1, 6), rng.randint(0, 4)
+        top = sorted((rng.randint(1, 5) for _ in range(t)), reverse=True)
+        outer, inner = [a + x for x in top], [a] * t
+        if a:
+            # the first lower row may reach under row t and share columns with it
+            below = random_partition(rng, a + top[-1], 4)
+            sub = random_subpartition(rng, below)
+            outer += below.parts
+            inner += [min(sub[i], a - 1) for i in range(below.length)]
+        diagram = SkewDiagram(Partition(outer), Partition(inner))
+        if 1 <= diagram.size <= 16:
+            return diagram
+
+
+class TestForcedTopBlock:
+    """The search starts below the leading rows that share the first row's inner part."""
+
+    def test_equals_brute_unboxed_and_under_boxes_that_cut_the_block(self):
+        rng = random.Random(31)
+        shared = 0
+        for _ in range(400):
+            a = _block_skew(rng)
+            spans = [(lo, hi) for lo, hi in a.spans if lo < hi]
+            t = next((i for i, (lo, _) in enumerate(spans) if lo != spans[0][0]), len(spans))
+            shared += 1 < t < len(spans) and spans[t][1] > spans[t - 1][0]
+            full = brute_decompose(a)
+            assert decompose_skew(a) == full
+            width = spans[0][1] - spans[0][0]
+            cuts = [(width - 1, t + 1), (width + 1, t - 1), (0, t + 1)]
+            for k, l in cuts:
+                assert len(decompose_skew(a, box=(k, l))) == 0
+            for k, l in cuts + [(rng.randint(0, 6), rng.randint(0, 6)), (width, t)]:
+                assert decompose_skew(a, box=(k, l)) == TestBoxCap._in_box(full, k, l)
+        # blocks of several rows above a row that shares columns with them
+        assert shared >= 40, shared
+
+    def test_whole_diagram_is_the_block(self):
+        # a straight shape is its own block: one term, unless the box cuts it
+        for lam in (P(4, 4, 2), P(1, 1, 1), P(5)):
+            assert dict(decompose_skew(SD(lam.parts, ())).items()) == {lam: 1}
+            assert dict(decompose_skew(SD(lam.parts, ()), box=(lam[0], lam.length)).items()) == {lam: 1}
+            for box in ((0, lam.length), (lam[0] - 1, lam.length), (lam[0], lam.length - 1)):
+                assert len(decompose_skew(SD(lam.parts, ()), box=box)) == 0
+
+
 class TestBruteDecompose:
     def test_filling_limit(self, monkeypatch):
         a = parse_skew("4^2,2^2,1^2 / 1^4")
@@ -404,6 +452,20 @@ class TestOuterProduct:
         monkeypatch.setattr(lr, "enumerate_lr_fillings", refuse)
         assert outer_product(P(3, 2), P(2, 2, 1)) == expected
         assert outer_product(P(2, 2, 1), P(3, 2)) == expected
+
+    def test_makes_no_diagram_and_validates_no_partition(self, monkeypatch):
+        a, b = P(3, 2), P(2, 2, 1)
+        full = brute_decompose(embed_disjoint(a, b))
+        boxed = {nu.parts: m for nu, m in full.items() if nu[0] <= 4 and nu.length <= 4}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagram or partition built")
+
+        monkeypatch.setattr(SkewDiagram, "__post_init__", refuse)
+        monkeypatch.setattr(Partition, "__init__", refuse)
+        assert outer_product(a, b) == full and outer_product(b, a) == full
+        assert schubert_product(a, b, 4, 4)._terms == boxed
+        assert schubert_product(b, a, 4, 4)._terms == boxed
 
     def test_symmetry_and_embedding_law(self):
         rng = random.Random(25)

@@ -154,6 +154,12 @@ class TestLexCompareContains:
         assert not contains(P(3), P(2, 2))
         assert contains(P(4, 3, 1, 1), P(9, 9, 9, 9, 7, 6, 6, 4, 4))
 
+    def test_contains_matches_the_padded_definition(self):
+        shapes = [p for n in range(9) for p in partitions_of_weight_in_box(n, n, n)]
+        for mu in shapes:
+            for lam in shapes:
+                assert contains(mu, lam) is all(mu[i] <= lam[i] for i in range(mu.length))
+
 
 class TestFrobenius:
     @given(partitions_st)
