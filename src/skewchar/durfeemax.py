@@ -150,10 +150,11 @@ def verify_complementation(mu: Partition, lam: Partition, k: int, l: int) -> boo
     """
     if not contains(mu, lam):
         raise ValueError("mu must be contained in lam")
-    if lam[0] > k or lam.length > l:
+    parts = lam.parts
+    if parts and (parts[0] > k or len(parts) > l):
         raise ValueError(f"lam must fit inside ({k}^{l})")
     skew_side = decompose_skew(SkewDiagram(lam, mu))
-    product_side = schubert_product(mu, complement(lam, k, l), k, l)
+    product_side = schubert_product(mu, Partition._trusted(_complement_parts(parts, k, l)), k, l)
     # both supports lie in the box, where complement is a bijection
     complemented = {_complement_parts(alpha, k, l): m for alpha, m in skew_side._terms.items()}
     return complemented == product_side._terms

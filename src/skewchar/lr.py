@@ -12,9 +12,13 @@ merges partial fillings that agree on everything later rows can see: the
 previous row's entries over the shared columns, which group the states,
 and the running content counts.
 The merge keeps multiplicities exact while collapsing the search tree.
-The search starts below the forced top block, the leading rows that share
-the first row's inner part, whose only filling puts r in every box of
-row r.
+The search reads the row spans once, counting the boxes itself, and
+starts below the forced top block, the leading rows that share the first
+row's inner part, whose only filling puts r in every box of row r.  A
+diagram that is its block, a straight shape or a translate of one, is
+answered from that start state with no row searched; so is one whose
+rows all end in one column, the half-turn of the straight shape of its
+row lengths, which has that shape's character.
 The final counts are partitions by construction, so the sum keeps the
 count tuples the search built, unvalidated; `CharacterSum.items()` and
 `support()` are what make `Partition` objects of them.  `outer_product`
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from collections.abc import Iterator, Mapping, Sequence
-from itertools import groupby, islice
+from itertools import groupby, islice, pairwise
 
 from .partitions import Partition, contains
 from .skew import SkewDiagram
@@ -210,38 +214,60 @@ def decompose_skew(diagram: SkewDiagram, box: tuple[int, int] | None = None) -> 
 
     The box caps each row as it is filled: at most k ones, at most l values.
     """
-    return _search(diagram.spans, diagram.size, box)
+    return _search(diagram.spans, box)
 
 
-def _search(spans: Sequence[tuple[int, int]], size: int, box: tuple[int, int] | None) -> CharacterSum:
-    """The merged search over the row spans (a, b] of a skew shape of `size` boxes."""
-    # an empty row changes no counts, and the rows around it share no column
-    spans = [(a, b) for a, b in spans if a < b]
-    k, l = box or (size, len(spans))  # else the caps the diagram implies
+def _search(spans: Sequence[tuple[int, int]], box: tuple[int, int] | None) -> CharacterSum:
+    """The merged search over the row spans (a, b] of a skew shape; it counts the boxes itself.
+
+    One pass over the spans drops the empty rows, counts the boxes and
+    collects the top block, whose one filling is the start state.  A
+    diagram that is its block, or whose rows all end in one column, is
+    answered from that state with no row searched.
+    """
+    # An empty row changes no counts, and the rows around it share no
+    # column.  The top block, the leading rows that share the first row's
+    # inner part, is not searched: each of its rows lies under the one
+    # above, so its only LR filling puts r in every box of row r.  Inner
+    # parts weakly decrease, and no empty row lies between two rows of one
+    # inner part, so the block is every row whose inner part is the first one's.
+    top: list[int] = []  # the block's row lengths
+    rows: list[tuple[int, int]] = []  # the rows below it
+    size = top_a = 0
+    for span in spans:
+        a, b = span
+        if a < b:
+            size += b - a
+            if a == top_a or not top:
+                top_a = a
+                top.append(b - a)
+            else:
+                rows.append(span)
+    # Right ends weakly decrease too, so if the last row ends where the
+    # first does, all do: the diagram is the half-turn of the straight
+    # shape of its row lengths, and has its character.  Rows lengthen
+    # downward, so that shape is theirs from the bottom up, then the block's.
+    if rows and rows[-1][1] == top_a + top[0]:
+        top = [b - a for a, b in reversed(rows)] + top
+        rows = []
+    k, l = box or (size, len(top) + len(rows))  # else the caps the diagram implies
     l = l if k > 0 else 0  # without a 1 no value opens
-    # The top block, the leading t rows that share the first row's inner
-    # part, is not searched: each of its rows lies under the one above, so
-    # its only LR filling puts r in every box of row r.  The search starts
-    # below it from that one state, unless the block itself breaks the box.
-    top_a = spans[0][0] if spans else 0
-    t = 0
-    while t < len(spans) and spans[t][0] == top_a:
-        t += 1
-    # from a list: a tuple built from a generator is resized, and CPython
-    # parks it on another size's free list when it is freed
-    top = tuple([b - top_a for _, b in spans[:t]])
-    if t and (top[0] > k or t > l):
+    # the search starts below the block from its one state, unless the
+    # block itself breaks the box
+    if top and (top[0] > k or len(top) > l):
         return CharacterSum._trusted(size, {})
-    spans = spans[t:]
+    if not rows:
+        return CharacterSum._trusted(size, {tuple(top): 1})
     # previous row entries kept for the next row, from column prev_a + 1
     # -> (k, running content counts) -> number of partial fillings reaching them.
     # With k leading, the lattice test cnt[v - 1] > cnt[v] caps the 1s too;
     # counts only grow, so a state the caps refuse could never fit the box.
     # Row t keeps its t's over the columns it shares with the next row.
-    keep = max(0, min(top[-1], spans[0][1] - top_a)) if spans else 0
-    groups: dict[tuple, dict[tuple, int]] = {(t,) * keep: {(k, *top): 1}}
+    keep = max(0, min(top[-1], rows[0][1] - top_a))
+    groups: dict[tuple, dict[tuple, int]] = {(len(top),) * keep: {(k, *top): 1}}
     prev_a = top_a
-    for (a, b), (_, next_b) in zip(spans, spans[1:] + [(0, 0)]):
+    rows.append((0, 0))  # the last row keeps nothing
+    for (a, b), (_, next_b) in pairwise(rows):
         keep = max(0, min(b, next_b) - a)
         width = b - a
         new_groups: defaultdict[tuple, dict[tuple, int]] = defaultdict(dict)
@@ -311,14 +337,14 @@ def outer_product(alpha: Partition, beta: Partition) -> CharacterSum:
     which share no row or column.  Their row spans go to the search with
     the heavier factor on top, where it is the forced start state.
     """
-    return _search(_product_spans(alpha, beta), alpha.weight + beta.weight, None)
+    return _search(_product_spans(alpha, beta), None)
 
 
 def schubert_product(alpha: Partition, beta: Partition, k: int, l: int) -> CharacterSum:
     """Outer product inside the k x l rectangle; the heavier factor is the start state."""
     if k < 1 or l < 1:
         raise ValueError("rectangle sides must be positive")
-    return _search(_product_spans(alpha, beta), alpha.weight + beta.weight, (k, l))
+    return _search(_product_spans(alpha, beta), (k, l))
 
 
 def _product_spans(alpha: Partition, beta: Partition) -> list[tuple[int, int]]:

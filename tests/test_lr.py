@@ -370,6 +370,65 @@ class TestForcedTopBlock:
             for box in ((0, lam.length), (lam[0] - 1, lam.length), (lam[0], lam.length - 1)):
                 assert len(decompose_skew(SD(lam.parts, ()), box=box)) == 0
 
+    def test_unsearched_and_split_diagrams_equal_brute_under_every_small_box(self):
+        # straight shapes, their translates and half-turns are answered with
+        # no row searched; diagrams split by an empty row are searched below
+        # their block.  Boxes 0..w+1 by 0..n+1 include every one that cuts them.
+        rng = random.Random(32)
+        split = (random_skew(rng, 8, 6, 14) for _ in range(300))
+        cases = [a for a in split if any(lo == hi for lo, hi in a.spans[1:-1])][:25]
+        assert len(cases) == 25
+        for _ in range(40):
+            lam = random_partition(rng, 5, 5)
+            straight = SkewDiagram(lam)
+            down, right = rng.randint(0, 2), rng.randint(1, 2)
+            cases += [straight, translate(straight, down, right), rotate180(straight)]
+            cases.append(translate(rotate180(straight), down, right))
+        cases += [SD((), ()), translate(SD((3, 1)), 2, 0), SD((3, 3, 3), (2, 1, 1))]
+        for a in cases:
+            full = brute_decompose(a)
+            cs = decompose_skew(a)
+            assert cs == full and cs.weight == a.size
+            w, n = a.num_cols, a.num_rows
+            for k, l in itertools.product(range(w + 2), range(n + 2)):
+                cs = decompose_skew(a, box=(k, l))
+                assert cs.weight == a.size
+                assert cs == TestBoxCap._in_box(full, k, l)
+
+    def test_products_with_an_empty_factor(self):
+        rng = random.Random(33)
+        empty = Partition()
+        for _ in range(40):
+            a, b = random_partition(rng, 5, 4), random_partition(rng, 4, 3)
+            for alpha, beta in ((a, empty), (empty, a), (a, b)):
+                full = brute_decompose(embed_disjoint(alpha, beta))
+                assert outer_product(alpha, beta) == full
+                assert full.weight == alpha.weight + beta.weight
+                for k, l in itertools.product(range(1, 8), range(1, 6)):
+                    cs = schubert_product(alpha, beta, k, l)
+                    assert cs.weight == alpha.weight + beta.weight
+                    assert cs == TestBoxCap._in_box(full, k, l)
+
+    def test_no_row_is_searched_for_straight_shapes_and_their_half_turns(self, monkeypatch):
+        # one defaultdict is made per searched row
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was searched")
+
+        monkeypatch.setattr(lr, "defaultdict", refuse)
+        turned = Partition([10000] * 2999 + [1])  # the half-turn of 10000^3000/9999
+        for a, lam in (
+            (parse_skew("10000^3000"), Partition([10000] * 3000)),
+            (parse_skew("10000^3000/1^3000"), Partition([9999] * 3000)),
+            (parse_skew("10000^3000/9999"), turned),
+            (parse_skew("10000^2999,1"), turned),
+            (parse_skew("9999^2999,2/1^3000"), Partition([9998] * 2999 + [1])),
+        ):
+            assert dict(decompose_skew(a).items()) == {lam: 1}
+            assert decompose_skew(a).weight == a.size == lam.weight
+            assert dict(decompose_skew(a, box=(lam[0], lam.length)).items()) == {lam: 1}
+            assert len(decompose_skew(a, box=(lam[0] - 1, lam.length))) == 0
+            assert len(decompose_skew(a, box=(lam[0], lam.length - 1))) == 0
+
 
 class TestBruteDecompose:
     def test_filling_limit(self, monkeypatch):
