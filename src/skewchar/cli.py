@@ -18,8 +18,8 @@ import re
 import sys
 
 from .durfeemax import DurfeeMaxReport, max_durfee_product, max_durfee_special_skew
-from .equality import check_equality
-from .extremal import TooManyWitnesses, max_hl_characters
+from .equality import EqualityReport, check_equality
+from .extremal import MaxHookReport, TooManyWitnesses, max_hl_characters
 from .lr import (
     CharacterSum,
     TooManyFillings,
@@ -40,7 +40,7 @@ from .partitions import (
 )
 from .render import _label_grid, render
 from .ribbons import RibbonLabeling, nw_labeling, strip_nw_ribbons
-from .skew import SkewDiagram, box_components, embed_disjoint, parse_skew
+from .skew import box_components, embed_disjoint, parse_skew
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -255,36 +255,26 @@ def _character_sum_text(cs: CharacterSum) -> str:
     return "\n".join(chunks)
 
 
-def _oracle_diagram(cmd: argparse.Namespace) -> SkewDiagram:
-    """What the oracle expands: the one diagram, or the two factors of a product."""
-    return cmd.diagrams[0] if cmd.diagrams else embed_disjoint(*cmd.partitions)
+def _oracle(cmd: argparse.Namespace) -> CharacterSum:
+    """The oracle's expansion of the one diagram, or of the two factors of a product."""
+    return brute_decompose(cmd.diagrams[0] if cmd.diagrams else embed_disjoint(*cmd.partitions))
 
 
-def _character_sum_result(cmd: argparse.Namespace, cs: CharacterSum) -> tuple[int, str]:
-    if cmd.verify:
-        expected = brute_decompose(_oracle_diagram(cmd))
-        if cmd.box:
-            k, l = cmd.box
-            kept = {nu: m for nu, m in expected.items() if nu[0] <= k and nu.length <= l}
-            expected = CharacterSum(expected.weight, kept)
-        if expected != cs:
-            return EXIT_VERIFY, f"verification failed: {cmd.verb} disagrees with oracle"
+def _check_character_sum(cmd: argparse.Namespace, cs: CharacterSum) -> str | None:
+    expected = _oracle(cmd)
+    if cmd.box:
+        k, l = cmd.box
+        kept = {nu: m for nu, m in expected.items() if nu[0] <= k and nu.length <= l}
+        expected = CharacterSum(expected.weight, kept)
+    return None if expected == cs else f"{cmd.verb} disagrees with oracle"
+
+
+def _write_character_sum(cmd: argparse.Namespace, cs: CharacterSum) -> tuple[int, str]:
     return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
 
 
-def _run_decompose(cmd: argparse.Namespace) -> tuple[int, str]:
-    return _character_sum_result(cmd, decompose_skew(cmd.diagrams[0]))
-
-
-def _run_product(cmd: argparse.Namespace) -> tuple[int, str]:
-    return _character_sum_result(cmd, outer_product(*cmd.partitions))
-
-
-def _run_schubert(cmd: argparse.Namespace) -> tuple[int, str]:
-    return _character_sum_result(cmd, schubert_product(*cmd.partitions, *cmd.box))
-
-
-def _verify_ribbons(a: SkewDiagram, labeling: RibbonLabeling) -> str | None:
+def _check_ribbons(cmd: argparse.Namespace, labeling: RibbonLabeling) -> str | None:
+    a = cmd.diagrams[0]
     if [len(row) for row in labeling.rows] != [hi - lo for lo, hi in a.spans]:
         return "the labels do not cover the diagram"
     rows = enumerate(zip(a.spans, labeling.rows), 1)
@@ -308,12 +298,8 @@ def _verify_ribbons(a: SkewDiagram, labeling: RibbonLabeling) -> str | None:
     return None
 
 
-def _run_ribbons(cmd: argparse.Namespace) -> tuple[int, str]:
+def _write_ribbons(cmd: argparse.Namespace, labeling: RibbonLabeling) -> tuple[int, str]:
     a = cmd.diagrams[0]
-    labeling = nw_labeling(a)
-    problem = cmd.verify and _verify_ribbons(a, labeling)
-    if problem:
-        return EXIT_VERIFY, f"verification failed: {problem}"
     grid = _label_grid(a, labeling.rows)
     if cmd.json_out:
         payload = {
@@ -334,21 +320,23 @@ def _run_ribbons(cmd: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _run_maxhook(cmd: argparse.Namespace) -> tuple[int, str]:
-    report = max_hl_characters(cmd.diagrams[0])
-    if cmd.verify:
-        terms = brute_decompose(_oracle_diagram(cmd)).items()
-        hl = max(principal_hook_lengths(nu) for nu, _ in terms)
-        top = [(nu, m) for nu, m in terms if principal_hook_lengths(nu) == hl]
-        if (
-            hl != report.hl
-            or top != [(w.nu, w.mult) for w in report.witnesses]
-            # gamma is the intersection of the hl-maximal constituents
-            or Partition(map(min, zip(*(nu.parts for nu, _ in top)))) != report.gamma
-            or len(top) != report.distinct_count
-            or min(durfee(nu) for nu, _ in terms) != report.min_durfee
-        ):
-            return EXIT_VERIFY, "verification failed: construction disagrees with oracle"
+def _check_maxhook(cmd: argparse.Namespace, report: MaxHookReport) -> str | None:
+    terms = [(nu, m, principal_hook_lengths(nu)) for nu, m in _oracle(cmd).items()]
+    hl = max(h for _, _, h in terms)
+    top = [(nu, m) for nu, m, h in terms if h == hl]
+    if (
+        hl != report.hl
+        or top != [(w.nu, w.mult) for w in report.witnesses]
+        # gamma is the intersection of the hl-maximal constituents
+        or Partition(map(min, zip(*(nu.parts for nu, _ in top)))) != report.gamma
+        or len(top) != report.distinct_count
+        or min(durfee(nu) for nu, _, _ in terms) != report.min_durfee
+    ):
+        return "construction disagrees with oracle"
+    return None
+
+
+def _write_maxhook(cmd: argparse.Namespace, report: MaxHookReport) -> tuple[int, str]:
     if cmd.json_out:
         return EXIT_OK, _json_text(report.to_json_dict())
     lines = [
@@ -365,18 +353,8 @@ def _run_maxhook(cmd: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _durfee_report_text(report: DurfeeMaxReport) -> str:
-    lines = [
-        f"m = {report.m}",
-        f"associated = {report.associated}",
-        f"max durfee = {report.max_durfee}",
-        "witnesses (exhaustive):" if report.exhaustive else "witnesses (certified, not exhaustive):",
-    ]
-    lines.extend(f"  [{format_partition(w.nu_inverse)}]  mult {w.mult}" for w in report.witnesses)
-    return "\n".join(lines) + "\n"
-
-
-def _verify_durfee_report(report: DurfeeMaxReport, full: CharacterSum) -> str | None:
+def _check_durfee(cmd: argparse.Namespace, report: DurfeeMaxReport) -> str | None:
+    full = _oracle(cmd)
     oracle_max = max(durfee(nu) for nu in full)
     if oracle_max != report.max_durfee:
         return f"oracle Durfee maximum is {oracle_max}"
@@ -389,24 +367,20 @@ def _verify_durfee_report(report: DurfeeMaxReport, full: CharacterSum) -> str | 
     return None
 
 
-def _durfee_result(cmd: argparse.Namespace, report: DurfeeMaxReport) -> tuple[int, str]:
-    problem = cmd.verify and _verify_durfee_report(report, brute_decompose(_oracle_diagram(cmd)))
-    if problem:
-        return EXIT_VERIFY, f"verification failed: {problem}"
-    return EXIT_OK, _json_text(report.to_json_dict()) if cmd.json_out else _durfee_report_text(report)
+def _write_durfee(cmd: argparse.Namespace, report: DurfeeMaxReport) -> tuple[int, str]:
+    if cmd.json_out:
+        return EXIT_OK, _json_text(report.to_json_dict())
+    lines = [
+        f"m = {report.m}",
+        f"associated = {report.associated}",
+        f"max durfee = {report.max_durfee}",
+        "witnesses (exhaustive):" if report.exhaustive else "witnesses (certified, not exhaustive):",
+    ]
+    lines.extend(f"  [{format_partition(w.nu_inverse)}]  mult {w.mult}" for w in report.witnesses)
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _run_durfee(cmd: argparse.Namespace) -> tuple[int, str]:
-    return _durfee_result(cmd, max_durfee_special_skew(cmd.diagrams[0], exhaustive=cmd.exhaustive))
-
-
-def _run_durfee_product(cmd: argparse.Namespace) -> tuple[int, str]:
-    return _durfee_result(cmd, max_durfee_product(*cmd.partitions, exhaustive=cmd.exhaustive))
-
-
-def _run_eqcheck(cmd: argparse.Namespace) -> tuple[int, str]:
-    a, b = cmd.diagrams
-    report = check_equality(a, b, full=cmd.full)
+def _write_eqcheck(cmd: argparse.Namespace, report: EqualityReport) -> tuple[int, str]:
     if not report.passed:
         code = EXIT_STRUCTURAL
     elif report.full is not None and not report.full.equal:
@@ -439,33 +413,49 @@ def _run_eqcheck(cmd: argparse.Namespace) -> tuple[int, str]:
     return code, "\n".join(lines) + "\n"
 
 
-def _run_render(cmd: argparse.Namespace) -> tuple[int, str]:
-    return EXIT_OK, render(cmd.diagrams[0], "labels" if cmd.labels else "plain")
-
-
+# verb -> (answer, check, write): the answer from the parsed command; its
+# check against the oracle under --verify, a problem text or None; and the
+# writer of its exit code and text.  The lambdas look engines up by name
+# when they run, so a patched module attribute is the one called.
+_SUM = (_check_character_sum, _write_character_sum)
+_DURFEE = (_check_durfee, _write_durfee)
 _HANDLERS = {
-    "decompose": _run_decompose,
-    "product": _run_product,
-    "schubert": _run_schubert,
-    "ribbons": _run_ribbons,
-    "maxhook": _run_maxhook,
-    "durfee": _run_durfee,
-    "durfee-product": _run_durfee_product,
-    "eqcheck": _run_eqcheck,
-    "render": _run_render,
+    "decompose": (lambda cmd: decompose_skew(cmd.diagrams[0]), *_SUM),
+    "product": (lambda cmd: outer_product(*cmd.partitions), *_SUM),
+    "schubert": (lambda cmd: schubert_product(*cmd.partitions, *cmd.box), *_SUM),
+    "ribbons": (lambda cmd: nw_labeling(cmd.diagrams[0]), _check_ribbons, _write_ribbons),
+    "maxhook": (lambda cmd: max_hl_characters(cmd.diagrams[0]), _check_maxhook, _write_maxhook),
+    "durfee": (
+        lambda cmd: max_durfee_special_skew(cmd.diagrams[0], exhaustive=cmd.exhaustive), *_DURFEE
+    ),
+    "durfee-product": (
+        lambda cmd: max_durfee_product(*cmd.partitions, exhaustive=cmd.exhaustive), *_DURFEE
+    ),
+    "eqcheck": (lambda cmd: check_equality(*cmd.diagrams, full=cmd.full), None, _write_eqcheck),
+    "render": (
+        lambda cmd: render(cmd.diagrams[0], "labels" if cmd.labels else "plain"),
+        None,
+        lambda cmd, text: (EXIT_OK, text),
+    ),
 }
 
 
 def run(cmd: argparse.Namespace) -> tuple[int, str]:
+    """The exit code and text of one command: its answer, checked under --verify, then written."""
     if cmd.max_boxes is not None and (cmd.verify or cmd.exhaustive):
-        size = _oracle_diagram(cmd).size
+        size = cmd.diagrams[0].size if cmd.diagrams else sum(p.weight for p in cmd.partitions)
         if size > cmd.max_boxes:
             return (
                 EXIT_TOO_LARGE,
                 f"refusing oracle run on {size} boxes (limit {cmd.max_boxes}; raise with --max-boxes)",
             )
+    answer, check, write = _HANDLERS[cmd.verb]
     try:
-        return _HANDLERS[cmd.verb](cmd)
+        result = answer(cmd)
+        problem = cmd.verify and check(cmd, result)
+        if problem:
+            return EXIT_VERIFY, f"verification failed: {problem}"
+        return write(cmd, result)
     except TooManyFillings as exc:
         return EXIT_TOO_LARGE, f"refusing oracle run: {exc}"
     except TooManyWitnesses as exc:
@@ -474,6 +464,11 @@ def run(cmd: argparse.Namespace) -> tuple[int, str]:
         return EXIT_PRECONDITION, f"error: {exc}"
     except AssertionError as exc:
         return EXIT_INTERNAL, f"internal error: {exc}"
+
+
+# characters handed to one write: the text layer encodes each write into a
+# bytes copy, so a large output is written in slices, never copied whole
+_WRITE_SLICE = 1 << 16
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -487,8 +482,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     code, text = run(cmd)
     stream = sys.stdout if code in (EXIT_OK, EXIT_UNEQUAL, EXIT_STRUCTURAL) else sys.stderr
-    if text:
-        stream.write(text if text.endswith("\n") else text + "\n")
+    for i in range(0, len(text), _WRITE_SLICE):
+        stream.write(text[i : i + _WRITE_SLICE])
+    if text and not text.endswith("\n"):
+        stream.write("\n")
     return code
 
 

@@ -141,8 +141,9 @@ def ribbon_profile(a: SkewDiagram, i: int) -> RibbonProfile:
 
 def strip_nw_ribbons(a: SkewDiagram, t: int) -> SkewDiagram:
     """Remove the first t northwest ribbons and normalize what remains: A_{t+1}."""
-    depth = len(nw_layers(a)[1])
-    if not 0 <= t <= depth:
-        raise ValueError(f"cannot strip {t} ribbons from {depth} layers")
+    # t layers exist iff A_t has a box: row i >= t of A_t is (inner_{i-t+1} + t - 1, outer_i]
+    spans = a.spans
+    if t < 0 or (t and not any(lo + t - 1 < hi for (lo, _), (_, hi) in zip(spans, spans[t - 1 :]))):
+        raise ValueError(f"cannot strip {t} ribbons from {len(nw_layers(a)[1])} layers")
     # row i > t of A_{t+1} is (min(outer_i, inner_{i-t} + t), outer_i]; rows up to t are empty
-    return _from_spans([(min(hi, lo + t), hi) for (lo, _), (_, hi) in zip(a.spans, a.spans[t:])])
+    return _from_spans([(min(hi, lo + t), hi) for (lo, _), (_, hi) in zip(spans, spans[t:])])

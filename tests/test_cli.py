@@ -500,6 +500,65 @@ class TestRun:
             f"refusing oracle run on {size} boxes (limit {cmd.max_boxes}; raise with --max-boxes)",
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["product", "6,5,4,3,2,1", "5,4,3,2,1", "--verify"],
+            ["schubert", "6,5,4,3,2,1", "5,4,3,2,1", "--box", "4,4", "--verify"],
+            ["durfee-product", "6,5,4,3,2,1", "5,4,3,2,1", "--verify"],
+            ["durfee-product", "6,5,4,3,2,1", "5,4,3,2,1", "--exhaustive"],
+        ],
+    )
+    def test_refused_product_builds_no_diagram(self, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a diagram was built to count its boxes")
+
+        monkeypatch.setattr(cli, "embed_disjoint", refuse)
+        assert run(parse_args(argv)) == (
+            EXIT_TOO_LARGE,
+            "refusing oracle run on 36 boxes (limit 30; raise with --max-boxes)",
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "4^2,2^2,1^2 / 1^4"],
+            ["product", "3,2", "2,1"],
+            ["schubert", "3,2", "2,1", "--box", "4,3"],
+            ["ribbons", "10^2,8^4,5^2 / 5^4"],
+            ["maxhook", "8^2,7,4,3^2 / 4,3,2"],
+            ["durfee", "3,3,2/1,1"],
+            ["durfee", "3,3,2/1,1", "--exhaustive"],
+            ["durfee-product", "2,1", "2,1"],
+            ["durfee-product", "2,1", "2,1", "--exhaustive"],
+        ],
+    )
+    def test_verify_runs_the_oracle_at_most_once(self, monkeypatch, argv):
+        calls = []
+
+        def counting(a, *args):
+            calls.append(a)
+            return original(a, *args)
+
+        original = cli.brute_decompose
+        monkeypatch.setattr(cli, "brute_decompose", counting)
+        assert run(parse_args(argv + ["--verify"]))[0] == EXIT_OK
+        assert len(calls) == (argv[0] != "ribbons")
+
+    def test_maxhook_verify_reads_each_term_once(self, monkeypatch):
+        argv = ["maxhook", "8^2,7,4,3^2 / 4,3,2", "--verify"]
+        calls = []
+
+        def counting(nu):
+            calls.append(nu)
+            return original(nu)
+
+        original = cli.principal_hook_lengths
+        monkeypatch.setattr(cli, "principal_hook_lengths", counting)
+        cmd = parse_args(argv)
+        assert run(cmd)[0] == EXIT_OK
+        assert calls == list(lr.brute_decompose(cmd.diagrams[0]))
+
     def test_verify_mismatch_exit(self, monkeypatch):
         cmd = parse_args(["maxhook", "2,1", "--verify"])
         monkeypatch.setattr(cli, "brute_decompose", lambda a: CharacterSum(3, {P(3): 1}))
@@ -837,6 +896,34 @@ class TestMainEntry:
             f"refusing witness list: {str(40**40)[:60]}... witnesses, more than {extremal.MAX_WITNESSES}\n"
         )
         assert len(captured.err.encode()) < 200
+
+    @pytest.mark.parametrize("newline", ["\n", ""], ids=["newline", "no-newline"])
+    def test_large_output_is_written_in_slices(self, monkeypatch, newline):
+        class Sink(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, b):
+                written.append(len(b))
+                return len(b)
+
+        written = []
+        text = "0123456789abcdef" * (1 << 17) + newline  # 2 MiB
+        monkeypatch.setattr(cli, "run", lambda cmd: (EXIT_OK, text))
+        stream = io.TextIOWrapper(Sink(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stream)
+        parse_args(["render", "1"])  # the parser is built once, outside the measurement
+        tracemalloc.start()
+        try:
+            assert cli.main(["render", "1"]) == EXIT_OK
+            stream.flush()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stream.close()
+        assert sum(written) == len(text) + (not newline)
+        # one copy of the whole text, encoded or joined with "\n", would be 2 MiB
+        assert peak < len(text) // 4
 
     def test_usage_exit(self):
         proc = subprocess.run(

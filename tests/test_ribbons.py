@@ -169,6 +169,38 @@ class TestStrip:
         with pytest.raises(ValueError):
             strip_nw_ribbons(SD((2, 2), (1,)), 2)
 
+    def test_valid_strip_computes_no_layers(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        original = ribbons.nw_layers
+        monkeypatch.setattr(ribbons, "nw_layers", counting)
+        a = SD((8, 8, 7, 4, 3, 3), (4, 3, 2))
+        for t in range(4):
+            strip_nw_ribbons(a, t)
+        assert calls == []
+        # only the refusal names the depth
+        with pytest.raises(ValueError, match=r"^cannot strip 4 ribbons from 3 layers$"):
+            strip_nw_ribbons(a, 4)
+        assert calls == [a]
+
+    def test_validity_is_the_layer_count(self):
+        rng = random.Random(38)
+        for _ in range(300):
+            a = _random_rows(rng, rng.randint(1, 7), rng.randint(1, 7))
+            depth = len(nw_layers(a)[1])
+            for t in range(-1, depth + 3):
+                try:
+                    strip_nw_ribbons(a, t)
+                except ValueError as exc:
+                    assert str(exc) == f"cannot strip {t} ribbons from {depth} layers"
+                    assert not 0 <= t <= depth, (a, t)
+                else:
+                    assert 0 <= t <= depth, (a, t)
+
 
 def _random_rows(rng: random.Random, rows: int, cols: int) -> SkewDiagram:
     """Random diagram in a rows x cols frame; some rows empty, often disconnected."""
