@@ -73,6 +73,15 @@ def _count(text: str) -> int:
     return int(text)
 
 
+# a verb's flags in add_argument's own form, (flag, options)
+_JSON = ("--json", {"action": "store_true", "dest": "json_out"})
+_VERIFY = ("--verify", {"action": "store_true"})
+_MAX_BOXES = ("--max-boxes", {"type": _count, "default": 30, "metavar": "N"})
+_STRIP = ("--strip", {"type": _count, "default": 0, "metavar": "T"})
+_EXHAUSTIVE = ("--exhaustive", {"action": "store_true"})
+_ORACLE = (_JSON, _VERIFY, _MAX_BOXES)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="skewchar", description="Exact skew character computations")
@@ -81,59 +90,12 @@ def _build_parser() -> _Parser:
         verify=False, exhaustive=False, full=False, labels=False, box=None, strip=0, max_boxes=None
     )
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-
-    def common(sp, *, verify=True, max_boxes=True, strip=False, exhaustive=False):
-        sp.add_argument("--json", action="store_true", dest="json_out")
-        if verify:
-            sp.add_argument("--verify", action="store_true")
-        if max_boxes:
-            sp.add_argument("--max-boxes", type=_count, default=30, metavar="N")
-        if strip:
-            sp.add_argument("--strip", type=_count, default=0, metavar="T")
-        if exhaustive:
-            sp.add_argument("--exhaustive", action="store_true")
-
-    sp = sub.add_parser("decompose", help="expand a skew character into irreducibles")
-    sp.add_argument("diagram")
-    common(sp)
-
-    sp = sub.add_parser("product", help="expand the product of two irreducibles")
-    sp.add_argument("alpha")
-    sp.add_argument("beta")
-    common(sp)
-
-    sp = sub.add_parser("schubert", help="product restricted to a k x l box")
-    sp.add_argument("alpha")
-    sp.add_argument("beta")
-    sp.add_argument("--box", required=True, metavar="K,L")
-    common(sp)
-
-    sp = sub.add_parser("ribbons", help="northwest ribbon labeling and profiles")
-    sp.add_argument("diagram")
-    common(sp, max_boxes=False, strip=True)
-
-    sp = sub.add_parser("maxhook", help="constituents with maximal hook lengths")
-    sp.add_argument("diagram")
-    common(sp, strip=True)
-
-    sp = sub.add_parser("durfee", help="maximal Durfee size of a square-framed skew shape")
-    sp.add_argument("diagram")
-    common(sp, exhaustive=True)
-
-    sp = sub.add_parser("durfee-product", help="maximal Durfee size of a product")
-    sp.add_argument("alpha")
-    sp.add_argument("beta")
-    common(sp, exhaustive=True)
-
-    sp = sub.add_parser("eqcheck", help="structural and full equality tests")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    common(sp, verify=False, max_boxes=False)
-    sp.add_argument("--full", action="store_true")
-
-    sp = sub.add_parser("render", help="draw a diagram")
-    sp.add_argument("diagram")
-    sp.add_argument("--labels", action="store_true")
+    for verb, (help_text, inputs, flags, *_) in _HANDLERS.items():
+        sp = sub.add_parser(verb, help=help_text)
+        for name in inputs:
+            sp.add_argument(name)
+        for flag, options in flags:
+            sp.add_argument(flag, **options)
     return parser
 
 
@@ -413,29 +375,54 @@ def _write_eqcheck(cmd: argparse.Namespace, report: EqualityReport) -> tuple[int
     return code, "\n".join(lines) + "\n"
 
 
-# verb -> (answer, check, write): the answer from the parsed command; its
-# check against the oracle under --verify, a problem text or None; and the
-# writer of its exit code and text.  The lambdas look engines up by name
-# when they run, so a patched module attribute is the one called.
+# verb -> (help, inputs, flags, answer, check, write).  The first three
+# build the verb's parser: its help line, its positional arguments, and its
+# flags in usage order.  The last three run it: the answer from the parsed
+# command; its check against the oracle under --verify, a problem text or
+# None; and the writer of its exit code and text.  The lambdas look engines
+# up by name when they run, so a patched module attribute is the one called.
+_DIAGRAM, _FACTORS = ("diagram",), ("alpha", "beta")
 _SUM = (_check_character_sum, _write_character_sum)
 _DURFEE = (_check_durfee, _write_durfee)
 _HANDLERS = {
-    "decompose": (lambda cmd: decompose_skew(cmd.diagrams[0]), *_SUM),
-    "product": (lambda cmd: outer_product(*cmd.partitions), *_SUM),
-    "schubert": (lambda cmd: schubert_product(*cmd.partitions, *cmd.box), *_SUM),
-    "ribbons": (lambda cmd: nw_labeling(cmd.diagrams[0]), _check_ribbons, _write_ribbons),
-    "maxhook": (lambda cmd: max_hl_characters(cmd.diagrams[0]), _check_maxhook, _write_maxhook),
+    "decompose": (
+        "expand a skew character into irreducibles", _DIAGRAM, _ORACLE,
+        lambda cmd: decompose_skew(cmd.diagrams[0]), *_SUM,
+    ),
+    "product": (
+        "expand the product of two irreducibles", _FACTORS, _ORACLE,
+        lambda cmd: outer_product(*cmd.partitions), *_SUM,
+    ),
+    "schubert": (
+        "product restricted to a k x l box", _FACTORS,
+        (("--box", {"required": True, "metavar": "K,L"}), *_ORACLE),
+        lambda cmd: schubert_product(*cmd.partitions, *cmd.box), *_SUM,
+    ),
+    "ribbons": (
+        "northwest ribbon labeling and profiles", _DIAGRAM, (_JSON, _VERIFY, _STRIP),
+        lambda cmd: nw_labeling(cmd.diagrams[0]), _check_ribbons, _write_ribbons,
+    ),
+    "maxhook": (
+        "constituents with maximal hook lengths", _DIAGRAM, (*_ORACLE, _STRIP),
+        lambda cmd: max_hl_characters(cmd.diagrams[0]), _check_maxhook, _write_maxhook,
+    ),
     "durfee": (
-        lambda cmd: max_durfee_special_skew(cmd.diagrams[0], exhaustive=cmd.exhaustive), *_DURFEE
+        "maximal Durfee size of a square-framed skew shape", _DIAGRAM, (*_ORACLE, _EXHAUSTIVE),
+        lambda cmd: max_durfee_special_skew(cmd.diagrams[0], exhaustive=cmd.exhaustive), *_DURFEE,
     ),
     "durfee-product": (
-        lambda cmd: max_durfee_product(*cmd.partitions, exhaustive=cmd.exhaustive), *_DURFEE
+        "maximal Durfee size of a product", _FACTORS, (*_ORACLE, _EXHAUSTIVE),
+        lambda cmd: max_durfee_product(*cmd.partitions, exhaustive=cmd.exhaustive), *_DURFEE,
     ),
-    "eqcheck": (lambda cmd: check_equality(*cmd.diagrams, full=cmd.full), None, _write_eqcheck),
+    "eqcheck": (
+        "structural and full equality tests", ("a", "b"),
+        (_JSON, ("--full", {"action": "store_true"})),
+        lambda cmd: check_equality(*cmd.diagrams, full=cmd.full), None, _write_eqcheck,
+    ),
     "render": (
+        "draw a diagram", _DIAGRAM, (("--labels", {"action": "store_true"}),),
         lambda cmd: render(cmd.diagrams[0], "labels" if cmd.labels else "plain"),
-        None,
-        lambda cmd, text: (EXIT_OK, text),
+        None, lambda cmd, text: (EXIT_OK, text),
     ),
 }
 
@@ -449,7 +436,7 @@ def run(cmd: argparse.Namespace) -> tuple[int, str]:
                 EXIT_TOO_LARGE,
                 f"refusing oracle run on {size} boxes (limit {cmd.max_boxes}; raise with --max-boxes)",
             )
-    answer, check, write = _HANDLERS[cmd.verb]
+    *_, answer, check, write = _HANDLERS[cmd.verb]
     try:
         result = answer(cmd)
         problem = cmd.verify and check(cmd, result)

@@ -132,10 +132,11 @@ def full_equality(a: SkewDiagram, b: SkewDiagram) -> tuple[bool, Discrepancy | N
     if _component_key(a) == _component_key(b):
         return True, None
     da, db = decompose_skew(a), decompose_skew(b)
-    for nu in sorted(set(da.support()) | set(db.support()), reverse=True):
-        if da[nu] != db[nu]:
-            return False, Discrepancy(nu, da[nu], db[nu])
-    return True, None
+    if da == db:
+        return True, None
+    # the terms, as parts tuples, whose multiplicities differ
+    nu = Partition._trusted(max(parts for parts, _ in da._terms.items() ^ db._terms.items()))
+    return False, Discrepancy(nu, da[nu], db[nu])
 
 
 def check_equality(a: SkewDiagram, b: SkewDiagram, full: bool = False) -> EqualityReport:

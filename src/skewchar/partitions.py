@@ -213,31 +213,24 @@ def _format_parts(parts: tuple[int, ...]) -> str:
 
 
 def partitions_in_box(k: int, l: int) -> Iterator[Partition]:
-    """All partitions with first part at most k and at most l parts."""
-
-    def rec(maxpart, rows):
-        yield ()
-        if rows == 0:
-            return
-        for p in range(maxpart, 0, -1):
-            for rest in rec(p, rows - 1):
-                yield (p,) + rest
-
-    for parts in rec(k, l):
-        yield Partition(parts)
+    """All partitions with first part at most k and at most l parts: the subpartitions of k^l."""
+    return subpartitions(Partition((max(k, 0),) * l))
 
 
 def subpartitions(p: Partition) -> Iterator[Partition]:
-    """All partitions contained in p, the empty partition included."""
+    """All partitions contained in p, the empty partition included.
+
+    Each prefix is yielded before its extensions, and a row's values in
+    descending order.  The walk keeps its own stack, so a partition of
+    `MAX_PARTS` parts needs no recursion that deep.
+    """
     parts = p.parts
-
-    def rec(i, cap):
-        yield ()
-        if i == len(parts):
-            return
-        for v in range(min(parts[i], cap), 0, -1):
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-
-    for sub in rec(0, p[0] if p else 0):
-        yield Partition(sub)
+    stack = [()]
+    while stack:
+        sub = stack.pop()
+        yield Partition._trusted(sub)
+        i = len(sub)
+        if i < len(parts):
+            top = min(parts[i], sub[-1]) if sub else parts[i]
+            # pushed ascending, so the largest value is popped first
+            stack.extend([sub + (v,) for v in range(1, top + 1)])

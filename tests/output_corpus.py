@@ -275,14 +275,19 @@ def argument_lists() -> list[list[str]]:
     return [list(argv) for argv in dict.fromkeys(map(tuple, lists))]
 
 
-def digest(argv: list[str]) -> str:
-    """First 16 hex digits of the sha256 of exit code, stdout and stderr of `cli.main(argv)`."""
+def outcome(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `cli.main(argv)`, run in-process."""
     from skewchar import cli
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    payload = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(argv: list[str]) -> str:
+    """First 16 hex digits of the sha256 of exit code, stdout and stderr of `cli.main(argv)`."""
+    payload = "\0".join(map(str, outcome(argv)))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

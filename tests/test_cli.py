@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import gc
@@ -185,6 +186,41 @@ class TestParse:
     def test_negative_count_is_usage_error(self, capsys, argv):
         assert cli.main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {argv[2]} must not be negative, got -1\n"
+
+    def test_verb_arguments_are_pinned(self):
+        # each verb's arguments in usage order, as the built parser holds them:
+        # (option strings, dest, required, default, metavar)
+        diagram, a, b = (((), name, True, None, None) for name in ("diagram", "a", "b"))
+        alpha, beta = (((), name, True, None, None) for name in ("alpha", "beta"))
+        json_out = (("--json",), "json_out", False, False, None)
+        verify = (("--verify",), "verify", False, False, None)
+        max_boxes = (("--max-boxes",), "max_boxes", False, 30, "N")
+        strip = (("--strip",), "strip", False, 0, "T")
+        exhaustive = (("--exhaustive",), "exhaustive", False, False, None)
+        oracle = [json_out, verify, max_boxes]
+        expected = {
+            "decompose": [diagram, *oracle],
+            "product": [alpha, beta, *oracle],
+            "schubert": [alpha, beta, (("--box",), "box", True, None, "K,L"), *oracle],
+            "ribbons": [diagram, json_out, verify, strip],
+            "maxhook": [diagram, *oracle, strip],
+            "durfee": [diagram, *oracle, exhaustive],
+            "durfee-product": [alpha, beta, *oracle, exhaustive],
+            "eqcheck": [a, b, json_out, (("--full",), "full", False, False, None)],
+            "render": [diagram, (("--labels",), "labels", False, False, None)],
+        }
+        parser = cli._build_parser()
+        (verbs,) = [x for x in parser._actions if isinstance(x, argparse._SubParsersAction)]
+        got = {
+            verb: [
+                (tuple(x.option_strings), x.dest, x.required, x.default, x.metavar)
+                for x in sub._actions
+                if not isinstance(x, argparse._HelpAction)
+            ]
+            for verb, sub in verbs.choices.items()
+        }
+        assert got == expected
+        assert list(got) == list(expected)
 
     def test_eqcheck_has_no_oracle_flags(self):
         for flags in (["--verify"], ["--max-boxes", "5"]):
@@ -566,6 +602,19 @@ class TestRun:
         assert code == EXIT_VERIFY
         assert "verification failed" in text
 
+    def test_verify_catches_a_wrong_durfee_maximum(self, monkeypatch):
+        original = cli.max_durfee_product
+
+        def raised(*args, **kwargs):
+            report = original(*args, **kwargs)
+            return dataclasses.replace(report, max_durfee=report.max_durfee + 1)
+
+        argv = ["durfee-product", "5^2,3^2,2", "4,3,1^2", "--verify"]
+        code, text = run(parse_args(argv))
+        assert code == EXIT_OK and "max durfee = 4\n" in text
+        monkeypatch.setattr(cli, "max_durfee_product", raised)
+        assert run(parse_args(argv)) == (EXIT_VERIFY, "verification failed: oracle Durfee maximum is 4")
+
     @pytest.mark.parametrize(
         "argv, engine",
         [
@@ -774,6 +823,9 @@ class TestRun:
         assert code == EXIT_STRUCTURAL
         code, text = run(parse_args(["eqcheck", "2,1", "2,1", "--full"]))
         assert code == EXIT_OK and "full: equal" in text
+        # connected, not half-turns of each other: equal only by their expansions
+        code, text = run(parse_args(["eqcheck", "4,3,2,1/2", "4,3,2,1/1^2", "--full"]))
+        assert code == EXIT_OK and text.endswith("structural: pass\nfull: equal\n")
 
     def test_eqcheck_full_on_copies_needs_no_expansion(self, monkeypatch):
         def no_expansion(_):

@@ -39,6 +39,8 @@ class TestComplement:
             assert nu.weight + inv.weight == k * l
 
     def test_does_not_fit(self):
+        with pytest.raises(ValueError, match="box sides must be positive"):
+            complement(P(1), 0, 3)
         with pytest.raises(ValueError):
             complement(P(3), 2, 4)
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from skewchar import (
     Partition,
     SkewDiagram,
     check_equality,
+    components,
     decompose_skew,
     embed_disjoint,
     equality,
@@ -177,6 +178,22 @@ class TestFullEquality:
         for group in groups.values():
             first = decompose_skew(group[0])
             assert all(decompose_skew(d) == first for d in group[1:])
+
+    def test_equal_characters_decided_by_expansion(self, monkeypatch):
+        # connected, not half-turns of each other, yet of equal characters:
+        # only the two expansions can tell
+        a, b = parse_skew("4,3,2,1/2"), parse_skew("4,3,2,1/1^2")
+        assert components(a) == [a] and components(b) == [b]
+        assert normalize(rotate180(a)) != normalize(b)
+        calls = []
+
+        def counting(d):
+            calls.append(d)
+            return decompose_skew(d)
+
+        monkeypatch.setattr(equality, "decompose_skew", counting)
+        assert full_equality(a, b) == (True, None)
+        assert calls == [a, b]
 
     def test_worked_pair_unequal_with_discrepancy(self):
         equal, disc = full_equality(PAIR_A, PAIR_B)

@@ -40,6 +40,8 @@ class TestPartitionType:
     def test_reads_past_end_are_zero(self):
         p = P(3, 2)
         assert p[0] == 3 and p[1] == 2 and p[2] == 0 and p[17] == 0
+        with pytest.raises(IndexError, match="indexed from 0"):
+            p[-1]
 
     def test_invalid_sequences_rejected(self):
         with pytest.raises(ValueError):
@@ -270,5 +272,17 @@ class TestEnumerators:
         assert set(partitions_of_weight_in_box(4, 2, 2)) == {P(2, 2)}
 
     def test_subpartitions(self):
-        got = set(subpartitions(P(2, 1)))
-        assert got == {Partition(), P(1), P(2), P(1, 1), P(2, 1)}
+        # each prefix before its extensions, a row's values descending
+        assert [p.parts for p in subpartitions(P(2, 1))] == [(), (2,), (2, 1), (1,), (1, 1)]
+        box = [(), (2,), (2, 2), (2, 1), (1,), (1, 1)]
+        assert [p.parts for p in partitions_in_box(2, 2)] == box
+
+    def test_enumerators_deeper_than_the_recursion_limit(self):
+        # a column of 2 000 boxes holds 2 001 partitions, one per height
+        assert sum(1 for _ in partitions_in_box(1, 2000)) == 2001
+        column = list(subpartitions(Partition([1] * 2000)))
+        assert [p.length for p in column] == list(range(2001))
+
+    def test_degenerate_boxes_hold_only_the_empty_partition(self):
+        for k, l in ((1, -1), (-1, 2), (0, 3), (3, 0), (-2, -2)):
+            assert list(partitions_in_box(k, l)) == [Partition()]

@@ -106,6 +106,12 @@ class TestNormalize:
             moved = translate(a, down=rng.randint(0, 3), right=rng.randint(0, 3))
             assert normalize(moved) == a
 
+    def test_translate_only_down_and_right(self):
+        a = SD((3, 1), (1,))
+        for down, right in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="translation must move down and right"):
+                translate(a, down, right)
+
 
 class TestRotate180:
     def test_l_tromino(self):
