@@ -6,28 +6,22 @@ Exit codes: 0 success (or equality not excluded), 1 usage error,
 refused because the instance exceeds --max-boxes or the oracle counts more
 than lr.MAX_FILLINGS LR fillings, or a max-hl witness list refused for
 holding more than extremal.MAX_WITNESSES witnesses, 7 internal error (an
-invariant of the computation failed; a bug, never an input problem).
+invariant of the computation failed; a bug, never an input problem), 8 the
+output could not be written (a closed pipe, which is told nothing, or a
+full disk, which gets one `error: cannot write output` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
+import os
 import re
 import sys
+import types
 
-from .durfeemax import DurfeeMaxReport, max_durfee_product, max_durfee_special_skew
-from .equality import EqualityReport, check_equality
-from .extremal import MaxHookReport, TooManyWitnesses, max_hl_characters
-from .lr import (
-    CharacterSum,
-    TooManyFillings,
-    brute_decompose,
-    decompose_skew,
-    outer_product,
-    schubert_product,
-)
 from .partitions import (
     GrammarError,
     Partition,
@@ -39,8 +33,34 @@ from .partitions import (
     principal_hook_lengths,
 )
 from .render import _label_grid, render
-from .ribbons import RibbonLabeling, nw_labeling, strip_nw_ribbons
 from .skew import box_components, embed_disjoint, parse_skew
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The engine module `skewchar.<name>`, executed on first attribute use.
+
+    It is registered at once, in `sys.modules` and on the package, as an
+    import registers it, so a later import or a lookup by module name finds
+    this same module.  An engine already imported is returned as it is.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# a verb executes only the engines it calls: each runs on its first use
+durfeemax = _lazy("durfeemax")
+equality = _lazy("equality")
+extremal = _lazy("extremal")
+lr = _lazy("lr")
+ribbons = _lazy("ribbons")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,6 +70,7 @@ EXIT_STRUCTURAL = 4
 EXIT_VERIFY = 5
 EXIT_TOO_LARGE = 6
 EXIT_INTERNAL = 7
+EXIT_WRITE = 8
 
 
 class UsageError(Exception):
@@ -128,7 +149,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     given = vars(cmd)
     cmd.diagrams = [_parsed(parse_skew, given[k]) for k in ("diagram", "a", "b") if k in given]
     if cmd.strip:
-        cmd.diagrams[0] = strip_nw_ribbons(cmd.diagrams[0], cmd.strip)
+        cmd.diagrams[0] = ribbons.strip_nw_ribbons(cmd.diagrams[0], cmd.strip)
     cmd.partitions = [_parsed(parse_partition, given[k]) for k in ("alpha", "beta") if k in given]
     return cmd
 
@@ -186,7 +207,7 @@ def _term_template(length: int) -> str:
 _CHUNK = 1024
 
 
-def _term_chunks(cs: CharacterSum, line, sep: str) -> list[str]:
+def _term_chunks(cs: lr.CharacterSum, line, sep: str) -> list[str]:
     """`sep.join` of `line(parts, mult)` over the terms, descending, one string per `_CHUNK` terms."""
     terms, keys = cs._terms, cs._sorted_parts()
     return [
@@ -195,7 +216,7 @@ def _term_chunks(cs: CharacterSum, line, sep: str) -> list[str]:
     ]
 
 
-def _character_sum_json(cs: CharacterSum) -> str:
+def _character_sum_json(cs: lr.CharacterSum) -> str:
     """`_json_text(cs.to_json_dict())`, written chunk by chunk.
 
     The brackets go on the first and last chunk, so the one final join is
@@ -210,32 +231,32 @@ def _character_sum_json(cs: CharacterSum) -> str:
     return ",\n".join(chunks)
 
 
-def _character_sum_text(cs: CharacterSum) -> str:
+def _character_sum_text(cs: lr.CharacterSum) -> str:
     chunks = _term_chunks(cs, lambda parts, mult: f"  [{_format_parts(parts)}]  {mult}", "\n")
     chunks.insert(0, f"weight {cs.weight}, {len(cs)} terms")
     chunks[-1] += "\n"
     return "\n".join(chunks)
 
 
-def _oracle(cmd: argparse.Namespace) -> CharacterSum:
+def _oracle(cmd: argparse.Namespace) -> lr.CharacterSum:
     """The oracle's expansion of the one diagram, or of the two factors of a product."""
-    return brute_decompose(cmd.diagrams[0] if cmd.diagrams else embed_disjoint(*cmd.partitions))
+    return lr.brute_decompose(cmd.diagrams[0] if cmd.diagrams else embed_disjoint(*cmd.partitions))
 
 
-def _check_character_sum(cmd: argparse.Namespace, cs: CharacterSum) -> str | None:
+def _check_character_sum(cmd: argparse.Namespace, cs: lr.CharacterSum) -> str | None:
     expected = _oracle(cmd)
     if cmd.box:
         k, l = cmd.box
         kept = {nu: m for nu, m in expected.items() if nu[0] <= k and nu.length <= l}
-        expected = CharacterSum(expected.weight, kept)
+        expected = lr.CharacterSum(expected.weight, kept)
     return None if expected == cs else f"{cmd.verb} disagrees with oracle"
 
 
-def _write_character_sum(cmd: argparse.Namespace, cs: CharacterSum) -> tuple[int, str]:
+def _write_character_sum(cmd: argparse.Namespace, cs: lr.CharacterSum) -> tuple[int, str]:
     return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
 
 
-def _check_ribbons(cmd: argparse.Namespace, labeling: RibbonLabeling) -> str | None:
+def _check_ribbons(cmd: argparse.Namespace, labeling: ribbons.RibbonLabeling) -> str | None:
     a = cmd.diagrams[0]
     if [len(row) for row in labeling.rows] != [hi - lo for lo, hi in a.spans]:
         return "the labels do not cover the diagram"
@@ -260,7 +281,7 @@ def _check_ribbons(cmd: argparse.Namespace, labeling: RibbonLabeling) -> str | N
     return None
 
 
-def _write_ribbons(cmd: argparse.Namespace, labeling: RibbonLabeling) -> tuple[int, str]:
+def _write_ribbons(cmd: argparse.Namespace, labeling: ribbons.RibbonLabeling) -> tuple[int, str]:
     a = cmd.diagrams[0]
     grid = _label_grid(a, labeling.rows)
     if cmd.json_out:
@@ -282,7 +303,7 @@ def _write_ribbons(cmd: argparse.Namespace, labeling: RibbonLabeling) -> tuple[i
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _check_maxhook(cmd: argparse.Namespace, report: MaxHookReport) -> str | None:
+def _check_maxhook(cmd: argparse.Namespace, report: extremal.MaxHookReport) -> str | None:
     terms = [(nu, m, principal_hook_lengths(nu)) for nu, m in _oracle(cmd).items()]
     hl = max(h for _, _, h in terms)
     top = [(nu, m) for nu, m, h in terms if h == hl]
@@ -298,7 +319,7 @@ def _check_maxhook(cmd: argparse.Namespace, report: MaxHookReport) -> str | None
     return None
 
 
-def _write_maxhook(cmd: argparse.Namespace, report: MaxHookReport) -> tuple[int, str]:
+def _write_maxhook(cmd: argparse.Namespace, report: extremal.MaxHookReport) -> tuple[int, str]:
     if cmd.json_out:
         return EXIT_OK, _json_text(report.to_json_dict())
     lines = [
@@ -315,7 +336,7 @@ def _write_maxhook(cmd: argparse.Namespace, report: MaxHookReport) -> tuple[int,
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _check_durfee(cmd: argparse.Namespace, report: DurfeeMaxReport) -> str | None:
+def _check_durfee(cmd: argparse.Namespace, report: durfeemax.DurfeeMaxReport) -> str | None:
     full = _oracle(cmd)
     oracle_max = max(durfee(nu) for nu in full)
     if oracle_max != report.max_durfee:
@@ -329,7 +350,7 @@ def _check_durfee(cmd: argparse.Namespace, report: DurfeeMaxReport) -> str | Non
     return None
 
 
-def _write_durfee(cmd: argparse.Namespace, report: DurfeeMaxReport) -> tuple[int, str]:
+def _write_durfee(cmd: argparse.Namespace, report: durfeemax.DurfeeMaxReport) -> tuple[int, str]:
     if cmd.json_out:
         return EXIT_OK, _json_text(report.to_json_dict())
     lines = [
@@ -342,7 +363,7 @@ def _write_durfee(cmd: argparse.Namespace, report: DurfeeMaxReport) -> tuple[int
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _write_eqcheck(cmd: argparse.Namespace, report: EqualityReport) -> tuple[int, str]:
+def _write_eqcheck(cmd: argparse.Namespace, report: equality.EqualityReport) -> tuple[int, str]:
     if not report.passed:
         code = EXIT_STRUCTURAL
     elif report.full is not None and not report.full.equal:
@@ -379,45 +400,47 @@ def _write_eqcheck(cmd: argparse.Namespace, report: EqualityReport) -> tuple[int
 # build the verb's parser: its help line, its positional arguments, and its
 # flags in usage order.  The last three run it: the answer from the parsed
 # command; its check against the oracle under --verify, a problem text or
-# None; and the writer of its exit code and text.  The lambdas look engines
-# up by name when they run, so a patched module attribute is the one called.
+# None; and the writer of its exit code and text.  The lambdas look each
+# engine function up on its module when they run: so a verb executes only
+# the engines it calls, and a patched engine attribute (`lr.decompose_skew`,
+# not an attribute of this module) is the one called.
 _DIAGRAM, _FACTORS = ("diagram",), ("alpha", "beta")
 _SUM = (_check_character_sum, _write_character_sum)
 _DURFEE = (_check_durfee, _write_durfee)
 _HANDLERS = {
     "decompose": (
         "expand a skew character into irreducibles", _DIAGRAM, _ORACLE,
-        lambda cmd: decompose_skew(cmd.diagrams[0]), *_SUM,
+        lambda cmd: lr.decompose_skew(cmd.diagrams[0]), *_SUM,
     ),
     "product": (
         "expand the product of two irreducibles", _FACTORS, _ORACLE,
-        lambda cmd: outer_product(*cmd.partitions), *_SUM,
+        lambda cmd: lr.outer_product(*cmd.partitions), *_SUM,
     ),
     "schubert": (
         "product restricted to a k x l box", _FACTORS,
         (("--box", {"required": True, "metavar": "K,L"}), *_ORACLE),
-        lambda cmd: schubert_product(*cmd.partitions, *cmd.box), *_SUM,
+        lambda cmd: lr.schubert_product(*cmd.partitions, *cmd.box), *_SUM,
     ),
     "ribbons": (
         "northwest ribbon labeling and profiles", _DIAGRAM, (_JSON, _VERIFY, _STRIP),
-        lambda cmd: nw_labeling(cmd.diagrams[0]), _check_ribbons, _write_ribbons,
+        lambda cmd: ribbons.nw_labeling(cmd.diagrams[0]), _check_ribbons, _write_ribbons,
     ),
     "maxhook": (
         "constituents with maximal hook lengths", _DIAGRAM, (*_ORACLE, _STRIP),
-        lambda cmd: max_hl_characters(cmd.diagrams[0]), _check_maxhook, _write_maxhook,
+        lambda cmd: extremal.max_hl_characters(cmd.diagrams[0]), _check_maxhook, _write_maxhook,
     ),
     "durfee": (
         "maximal Durfee size of a square-framed skew shape", _DIAGRAM, (*_ORACLE, _EXHAUSTIVE),
-        lambda cmd: max_durfee_special_skew(cmd.diagrams[0], exhaustive=cmd.exhaustive), *_DURFEE,
+        lambda cmd: durfeemax.max_durfee_special_skew(cmd.diagrams[0], exhaustive=cmd.exhaustive), *_DURFEE,
     ),
     "durfee-product": (
         "maximal Durfee size of a product", _FACTORS, (*_ORACLE, _EXHAUSTIVE),
-        lambda cmd: max_durfee_product(*cmd.partitions, exhaustive=cmd.exhaustive), *_DURFEE,
+        lambda cmd: durfeemax.max_durfee_product(*cmd.partitions, exhaustive=cmd.exhaustive), *_DURFEE,
     ),
     "eqcheck": (
         "structural and full equality tests", ("a", "b"),
         (_JSON, ("--full", {"action": "store_true"})),
-        lambda cmd: check_equality(*cmd.diagrams, full=cmd.full), None, _write_eqcheck,
+        lambda cmd: equality.check_equality(*cmd.diagrams, full=cmd.full), None, _write_eqcheck,
     ),
     "render": (
         "draw a diagram", _DIAGRAM, (("--labels", {"action": "store_true"}),),
@@ -443,14 +466,16 @@ def run(cmd: argparse.Namespace) -> tuple[int, str]:
         if problem:
             return EXIT_VERIFY, f"verification failed: {problem}"
         return write(cmd, result)
-    except TooManyFillings as exc:
-        return EXIT_TOO_LARGE, f"refusing oracle run: {exc}"
-    except TooManyWitnesses as exc:
-        return EXIT_TOO_LARGE, f"refusing witness list: {exc}"
+    # ValueError and AssertionError first: neither refusal below subclasses
+    # them, and naming a refusal class executes its engine
     except ValueError as exc:
         return EXIT_PRECONDITION, f"error: {exc}"
     except AssertionError as exc:
         return EXIT_INTERNAL, f"internal error: {exc}"
+    except lr.TooManyFillings as exc:
+        return EXIT_TOO_LARGE, f"refusing oracle run: {exc}"
+    except extremal.TooManyWitnesses as exc:
+        return EXIT_TOO_LARGE, f"refusing witness list: {exc}"
 
 
 # characters handed to one write: the text layer encodes each write into a
@@ -469,11 +494,34 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     code, text = run(cmd)
     stream = sys.stdout if code in (EXIT_OK, EXIT_UNEQUAL, EXIT_STRUCTURAL) else sys.stderr
-    for i in range(0, len(text), _WRITE_SLICE):
-        stream.write(text[i : i + _WRITE_SLICE])
-    if text and not text.endswith("\n"):
-        stream.write("\n")
+    try:
+        for i in range(0, len(text), _WRITE_SLICE):
+            stream.write(text[i : i + _WRITE_SLICE])
+        if text and not text.endswith("\n"):
+            stream.write("\n")
+        stream.flush()
+    except OSError as exc:
+        _to_devnull(stream)
+        # a reader that has gone (a closed pipe) is told nothing
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_WRITE
     return code
+
+
+def _to_devnull(stream) -> None:
+    """Point the stream's file descriptor at os.devnull.
+
+    What is left in its buffer is flushed at exit, and then goes nowhere
+    instead of raising the same error again.
+    """
+    try:
+        fd = stream.fileno()
+    except OSError:  # no file descriptor, as in io.StringIO
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .ribbons import _label_rows
 from .skew import SkewDiagram
 
 _SYMBOLS = "123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -43,6 +42,9 @@ def render_labels(a: SkewDiagram) -> str:
     boxes (':') are right-aligned to one width and separated by spaces,
     with no legend.
     """
+    # imported here: a plain drawing needs no ribbon engine
+    from .ribbons import _label_rows
+
     return _label_grid(a, _label_rows(a))
 
 

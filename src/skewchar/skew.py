@@ -9,9 +9,8 @@ of shapes is expressed.  Every operation here reads the row spans
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import zip_longest
-from typing import Iterable, Sequence
 
 from .partitions import (
     GrammarError,
@@ -26,14 +25,41 @@ from .partitions import (
 _EMPTY = Partition()
 
 
-@dataclass(frozen=True)
 class SkewDiagram:
-    outer: Partition
-    inner: Partition = _EMPTY
+    """The boxes of `outer` outside `inner`; immutable, equal and hashed on (outer, inner)."""
 
-    def __post_init__(self) -> None:
-        if not contains(self.inner, self.outer):
+    __slots__ = ("outer", "inner")
+    __match_args__ = ("outer", "inner")
+
+    outer: Partition
+    inner: Partition
+
+    def __init__(self, outer: Partition, inner: Partition = _EMPTY) -> None:
+        if not contains(inner, outer):
             raise ValueError("inner not contained in outer")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.outer, self.inner) == (other.outer, other.inner)
+
+    def __hash__(self) -> int:
+        return hash((self.outer, self.inner))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(outer={self.outer!r}, inner={self.inner!r})"
+
+    def __reduce__(self):
+        # copy and pickle call the constructor; the slots take no setattr
+        return self.__class__, (self.outer, self.inner)
 
     @property
     def size(self) -> int:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import gc
 import hashlib
 import io
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skewchar
 from skewchar import (
     CharacterSum,
     Partition,
@@ -41,6 +43,7 @@ from skewchar.cli import (
     EXIT_UNEQUAL,
     EXIT_USAGE,
     EXIT_VERIFY,
+    EXIT_WRITE,
     UsageError,
     parse_args,
     run,
@@ -520,16 +523,16 @@ class TestRun:
         def engine(*args, **kwargs):
             raise AssertionError("the refused run computed something")
 
-        for name in (
-            "decompose_skew",
-            "outer_product",
-            "schubert_product",
-            "max_hl_characters",
-            "brute_decompose",
-            "max_durfee_special_skew",
-            "max_durfee_product",
+        for module, name in (
+            (lr, "decompose_skew"),
+            (lr, "outer_product"),
+            (lr, "schubert_product"),
+            (extremal, "max_hl_characters"),
+            (lr, "brute_decompose"),
+            (durfeemax, "max_durfee_special_skew"),
+            (durfeemax, "max_durfee_product"),
         ):
-            monkeypatch.setattr(cli, name, engine)
+            monkeypatch.setattr(module, name, engine)
         cmd = parse_args(argv)
         assert run(cmd) == (
             EXIT_TOO_LARGE,
@@ -576,8 +579,8 @@ class TestRun:
             calls.append(a)
             return original(a, *args)
 
-        original = cli.brute_decompose
-        monkeypatch.setattr(cli, "brute_decompose", counting)
+        original = lr.brute_decompose
+        monkeypatch.setattr(lr, "brute_decompose", counting)
         assert run(parse_args(argv + ["--verify"]))[0] == EXIT_OK
         assert len(calls) == (argv[0] != "ribbons")
 
@@ -597,13 +600,13 @@ class TestRun:
 
     def test_verify_mismatch_exit(self, monkeypatch):
         cmd = parse_args(["maxhook", "2,1", "--verify"])
-        monkeypatch.setattr(cli, "brute_decompose", lambda a: CharacterSum(3, {P(3): 1}))
+        monkeypatch.setattr(lr, "brute_decompose", lambda a: CharacterSum(3, {P(3): 1}))
         code, text = run(cmd)
         assert code == EXIT_VERIFY
         assert "verification failed" in text
 
     def test_verify_catches_a_wrong_durfee_maximum(self, monkeypatch):
-        original = cli.max_durfee_product
+        original = durfeemax.max_durfee_product
 
         def raised(*args, **kwargs):
             report = original(*args, **kwargs)
@@ -612,7 +615,7 @@ class TestRun:
         argv = ["durfee-product", "5^2,3^2,2", "4,3,1^2", "--verify"]
         code, text = run(parse_args(argv))
         assert code == EXIT_OK and "max durfee = 4\n" in text
-        monkeypatch.setattr(cli, "max_durfee_product", raised)
+        monkeypatch.setattr(durfeemax, "max_durfee_product", raised)
         assert run(parse_args(argv)) == (EXIT_VERIFY, "verification failed: oracle Durfee maximum is 4")
 
     @pytest.mark.parametrize(
@@ -630,7 +633,8 @@ class TestRun:
         # the engine loses its last term or witness; the oracle must not
         argv = argv + ["--verify"]
         assert run(parse_args(argv))[0] == EXIT_OK
-        original = getattr(cli, engine)
+        original = getattr(skewchar, engine)
+        module = sys.modules[original.__module__]
 
         def dropping(*args, **kwargs):
             answer = original(*args, **kwargs)
@@ -638,7 +642,7 @@ class TestRun:
                 return CharacterSum(answer.weight, dict(answer.items()[:-1]))
             return dataclasses.replace(answer, witnesses=answer.witnesses[:-1])
 
-        monkeypatch.setattr(cli, engine, dropping)
+        monkeypatch.setattr(module, engine, dropping)
         code, text = run(parse_args(argv))
         assert code == EXIT_VERIFY and text.startswith("verification failed: ")
 
@@ -682,9 +686,9 @@ class TestRun:
     def test_certified_witnesses_must_be_oracle_attainers(self, monkeypatch, witnesses):
         # [4,1,1] has multiplicity 1 in [2,1]x[2,1] but Durfee size 1, not 2
         assert outer_product(P(2, 1), P(2, 1))[P(4, 1, 1)] == 1
-        original = cli.max_durfee_product
+        original = durfeemax.max_durfee_product
         monkeypatch.setattr(
-            cli,
+            durfeemax,
             "max_durfee_product",
             lambda *args, **kwargs: dataclasses.replace(original(*args, **kwargs), witnesses=witnesses),
         )
@@ -700,9 +704,9 @@ class TestRun:
     def test_maxhook_verify_checks_gamma_and_distinct_count(self, monkeypatch, field, value):
         argv = ["maxhook", "8^2,7,4,3^2 / 4,3,2", "--verify"]
         assert run(parse_args(argv))[0] == EXIT_OK
-        original = cli.max_hl_characters
+        original = extremal.max_hl_characters
         monkeypatch.setattr(
-            cli,
+            extremal,
             "max_hl_characters",
             lambda a: dataclasses.replace(original(a), **{field: value}),
         )
@@ -736,8 +740,8 @@ class TestRun:
     def test_ribbons_verify_rederives_the_layers(self, monkeypatch, broken, problem):
         argv = ["ribbons", "10^2,8^4,5^2 / 5^4", "--verify"]
         assert run(parse_args(argv))[0] == EXIT_OK
-        original = cli.nw_labeling
-        monkeypatch.setattr(cli, "nw_labeling", lambda a: broken(original(a)))
+        original = ribbons.nw_labeling
+        monkeypatch.setattr(ribbons, "nw_labeling", lambda a: broken(original(a)))
         code, text = run(parse_args(argv))
         assert code == EXIT_VERIFY
         assert text.startswith(f"verification failed: {problem}")
@@ -756,8 +760,8 @@ class TestRun:
             calls.append(a)
             return original(a)
 
-        original = cli.nw_labeling
-        monkeypatch.setattr(cli, "nw_labeling", counting)
+        original = ribbons.nw_labeling
+        monkeypatch.setattr(ribbons, "nw_labeling", counting)
         cmd = parse_args(["ribbons", "10^2,8^4,5^2 / 5^4", *flags])
         assert run(cmd)[0] == EXIT_OK
         assert calls == [cmd.diagrams[0]]
@@ -987,7 +991,7 @@ class TestMainEntry:
         def broken(a):
             raise AssertionError("northwest ribbon sizes are not weakly decreasing: [1, 2]")
 
-        monkeypatch.setattr(cli, "nw_labeling", broken)
+        monkeypatch.setattr(ribbons, "nw_labeling", broken)
         assert cli.main(["ribbons", "2,1"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1029,6 +1033,86 @@ class TestMainEntry:
         )
         assert proc.returncode == EXIT_PRECONDITION
         assert "inner not contained in outer" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+            (
+                OSError(errno.ENOSPC, "No space left on device"),
+                "error: cannot write output: No space left on device\n",
+            ),
+        ],
+        ids=["closed-pipe", "full-disk"],
+    )
+    def test_unwritable_output_exit(self, monkeypatch, capsys, error, message):
+        class FailsOnSecondWrite(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                if len(writes) == 2:
+                    raise error
+                return super().write(text)
+
+        writes = []
+        monkeypatch.setattr(sys, "stdout", FailsOnSecondWrite())
+        # 10 rows of 7 000 boxes: more than one slice of output
+        assert cli.main(["render", "7000^10"]) == EXIT_WRITE
+        assert writes == [cli._WRITE_SLICE, 7001 * 10 - cli._WRITE_SLICE]
+        assert capsys.readouterr() == ("", message)
+
+    def test_closed_stdout_exit(self):
+        # about 1 MB of output, more than a pipe holds: a write meets the closed end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "skewchar", "render", "1000^1000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_WRITE
+        assert err == b""
+
+
+# each verb's executed skewchar modules, and whether it imported dataclasses, in
+# a fresh interpreter: a before/after diff of sys.modules, whatever `site` loads
+_STARTUP = """
+import contextlib, io, json, sys, types
+before = set(sys.modules)
+from skewchar import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+executed = [n for n, m in sys.modules.items() if n.split(".")[0] == "skewchar" and type(m) is types.ModuleType]
+print(json.dumps([code, sorted(executed), "dataclasses" in set(sys.modules) - before]))
+"""
+_CORE = ["skewchar", "skewchar.cli", "skewchar.partitions", "skewchar.render", "skewchar.skew"]
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "argv, engines",
+        [
+            (["render", "1"], []),
+            (["render", "3,1/1"], []),
+            (["decompose", "3,2/1"], ["lr"]),
+            (["decompose", "3,2/1", "--verify", "--json"], ["lr"]),
+            (["product", "2,1", "1"], ["lr"]),
+            (["schubert", "2,1", "1", "--box", "2,2"], ["lr"]),
+            (["render", "3,1/1", "--labels"], ["ribbons"]),
+            (["ribbons", "3,1/1"], ["ribbons"]),
+            (["maxhook", "3,1/1"], ["extremal", "ribbons"]),
+        ],
+        ids=lambda value: " ".join(value) if value else "core",
+    )
+    def test_a_verb_executes_only_its_modules(self, argv, engines):
+        proc = subprocess.run([sys.executable, "-c", _STARTUP, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, executed, dataclasses_loaded = json.loads(proc.stdout)
+        assert code == EXIT_OK
+        assert executed == sorted(_CORE + [f"skewchar.{name}" for name in engines])
+        # every report dataclass is defined in ribbons or in an engine that imports it
+        if "ribbons" not in engines:
+            assert not dataclasses_loaded
 
 
 @st.composite

@@ -520,7 +520,7 @@ class TestOuterProduct:
         def refuse(*args, **kwargs):
             raise AssertionError("diagram or partition built")
 
-        monkeypatch.setattr(SkewDiagram, "__post_init__", refuse)
+        monkeypatch.setattr(SkewDiagram, "__init__", refuse)
         monkeypatch.setattr(Partition, "__init__", refuse)
         assert outer_product(a, b) == full and outer_product(b, a) == full
         assert schubert_product(a, b, 4, 4)._terms == boxed

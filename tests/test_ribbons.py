@@ -155,13 +155,13 @@ class TestStrip:
     def test_builds_only_its_result(self, monkeypatch):
         a = SD((8, 8, 7, 4, 3, 3), (4, 3, 2))
         made = []
-        check = SkewDiagram.__post_init__
+        check = SkewDiagram.__init__
 
-        def counted(diagram):
+        def counted(diagram, *args, **kwargs):
             made.append(diagram)
-            check(diagram)
+            check(diagram, *args, **kwargs)
 
-        monkeypatch.setattr(SkewDiagram, "__post_init__", counted)
+        monkeypatch.setattr(SkewDiagram, "__init__", counted)
         stripped = strip_nw_ribbons(a, 2)
         assert len(made) == 1 and made[0] is stripped
 
