@@ -32,7 +32,7 @@ from .partitions import (
     parse_partition,
     principal_hook_lengths,
 )
-from .render import _label_grid, render
+from .render import _label_grid, render, render_labels
 from .skew import box_components, embed_disjoint, parse_skew
 
 
@@ -256,8 +256,10 @@ def _write_character_sum(cmd: argparse.Namespace, cs: lr.CharacterSum) -> tuple[
     return EXIT_OK, _character_sum_json(cs) if cmd.json_out else _character_sum_text(cs)
 
 
-def _check_ribbons(cmd: argparse.Namespace, labeling: ribbons.RibbonLabeling) -> str | None:
+def _check_ribbons(cmd: argparse.Namespace, answer: tuple) -> str | None:
+    """The labels of every box against each layer's flood fill, then the answer against them."""
     a = cmd.diagrams[0]
+    labeling = ribbons.nw_labeling(a)
     if [len(row) for row in labeling.rows] != [hi - lo for lo, hi in a.spans]:
         return "the labels do not cover the diagram"
     rows = enumerate(zip(a.spans, labeling.rows), 1)
@@ -278,27 +280,31 @@ def _check_ribbons(cmd: argparse.Namespace, labeling: ribbons.RibbonLabeling) ->
         return "pi_nw disagrees with the layer sizes"
     if derived != [(p.size, p.k, p.arm, p.leg) for p in labeling.profiles]:
         return "the layer profiles disagree with the flood fill of each layer"
+    pi, profiles, grid = answer
+    if (pi, profiles) != (labeling.pi_nw, labeling.profiles):
+        return "the written pi_nw or profiles are not those of the labeling"
+    if grid != _label_grid(a, labeling.rows, len(layers)):
+        return "the written grid is not the drawing of the labeling"
     return None
 
 
-def _write_ribbons(cmd: argparse.Namespace, labeling: ribbons.RibbonLabeling) -> tuple[int, str]:
+def _write_ribbons(cmd: argparse.Namespace, answer: tuple) -> tuple[int, str]:
     a = cmd.diagrams[0]
-    grid = _label_grid(a, labeling.rows)
+    pi, profiles, grid = answer
     if cmd.json_out:
         payload = {
-            "pi_nw": list(labeling.pi_nw.parts),
+            "pi_nw": list(pi.parts),
             "profiles": [
                 {"index": p.index, "size": p.size, "k": p.k, "arm": p.arm, "leg": p.leg}
-                for p in labeling.profiles
+                for p in profiles
             ],
             "grid": grid.splitlines(),
         }
         return EXIT_OK, _json_text(payload)
     lines = [grid.rstrip("\n")] if a.size else []
-    lines.append(f"pi_nw = {format_partition(labeling.pi_nw)}")
+    lines.append(f"pi_nw = {format_partition(pi)}")
     lines.extend(
-        f"nw {p.index}: size {p.size}, ribbons {p.k}, arm {p.arm}, leg {p.leg}"
-        for p in labeling.profiles
+        f"nw {p.index}: size {p.size}, ribbons {p.k}, arm {p.arm}, leg {p.leg}" for p in profiles
     )
     return EXIT_OK, "\n".join(lines) + "\n"
 
@@ -423,7 +429,8 @@ _HANDLERS = {
     ),
     "ribbons": (
         "northwest ribbon labeling and profiles", _DIAGRAM, (_JSON, _VERIFY, _STRIP),
-        lambda cmd: ribbons.nw_labeling(cmd.diagrams[0]), _check_ribbons, _write_ribbons,
+        lambda cmd: (*ribbons.nw_layers(cmd.diagrams[0]), render_labels(cmd.diagrams[0])),
+        _check_ribbons, _write_ribbons,
     ),
     "maxhook": (
         "constituents with maximal hook lengths", _DIAGRAM, (*_ORACLE, _STRIP),

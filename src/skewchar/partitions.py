@@ -12,6 +12,7 @@ import operator
 import re
 from collections.abc import Iterable, Iterator
 from functools import total_ordering
+from itertools import repeat
 
 
 class GrammarError(ValueError):
@@ -37,11 +38,15 @@ class Partition:
         ps = list(parts)
         while ps and ps[-1] == 0:
             ps.pop()
-        for i, p in enumerate(ps):
-            if not isinstance(p, int) or p <= 0:
-                raise ValueError(f"partition parts must be positive integers, got {_echo(str(ps))}")
-            if i > 0 and ps[i - 1] < p:
-                raise ValueError(f"partition parts must be weakly decreasing, got {_echo(str(ps))}")
+        # ints weakly decreasing down to a positive last part, checked in
+        # C-level passes; the walk only words a refusal
+        valid = all(map(isinstance, ps, repeat(int))) and (not ps or ps[-1] > 0)
+        if not (valid and all(map(operator.ge, ps, ps[1:]))):
+            for i, p in enumerate(ps):
+                if not isinstance(p, int) or p <= 0:
+                    raise ValueError(f"partition parts must be positive integers, got {_echo(str(ps))}")
+                if i > 0 and ps[i - 1] < p:
+                    raise ValueError(f"partition parts must be weakly decreasing, got {_echo(str(ps))}")
         self._parts = tuple(ps)
 
     @classmethod
@@ -158,9 +163,13 @@ def from_frobenius(arms: Iterable[int], legs: Iterable[int]) -> Partition:
 # expanded, so that input like ``1^100000000`` is refused without allocating.
 MAX_PARTS = 10_000
 
-# leading zeros outside the groups, which start with a digit other than 0
-# ([^\D0]) so that a long run of zeros does not backtrack quadratically
-_TOKEN = re.compile(r"0*([^\D0]\d*|0)(?:\^0*([^\D0]\d*|0))?")
+# the common text: plain numbers of at most five ASCII digits, which int()
+# reads with no per-token pattern, and the caps check once the list is made
+_PLAIN = re.compile(r"[0-9]{1,5}(?:,[0-9]{1,5})*")
+# one token of any text: leading zeros outside the groups, which start with
+# a digit other than 0 so that a long run of zeros does not backtrack
+# quadratically; ASCII digits only, as int() also reads other decimal digits
+_TOKEN = re.compile(r"0*([1-9][0-9]*|0)(?:\^0*([1-9][0-9]*|0))?")
 _DIGITS = len(str(MAX_PARTS))
 
 
@@ -174,6 +183,20 @@ def parse_partition(text: str) -> Partition:
     compact = "".join(text.split())
     if not compact:
         return Partition()
+    if _PLAIN.fullmatch(compact):
+        parts = list(map(int, compact.split(",")))
+        if len(parts) <= MAX_PARTS and max(parts) <= MAX_PARTS:
+            return Partition(parts)
+    return Partition(_token_parts(compact))
+
+
+def _token_parts(compact: str) -> list[int]:
+    """The parts of text that is not plain numbers under the caps, token by token.
+
+    That is text with exponents or with a number of more than five digits,
+    leading zeros among them, or text to refuse: its first bad token names
+    the refusal.
+    """
     parts: list[int] = []
     for token in compact.split(","):
         m = _TOKEN.fullmatch(token)
@@ -191,7 +214,7 @@ def parse_partition(text: str) -> Partition:
         if len(parts) + exp > MAX_PARTS:
             raise GrammarError(f"a partition may have at most {MAX_PARTS} parts")
         parts.extend([base] * exp)
-    return Partition(parts)
+    return parts
 
 
 def format_partition(p: Partition) -> str:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .skew import SkewDiagram
 
 _SYMBOLS = "123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# each label's symbol to the next label's; past the last symbol, a character
+# that is no symbol, which then stays as it is: labels weakly increase along
+# a row, so a row with a label past the symbols ends in it
+_PAST = "~"
+_NEXT = str.maketrans(_SYMBOLS, _SYMBOLS[1:] + _PAST)
 
 
 def render_plain(a: SkewDiagram) -> str:
@@ -13,24 +20,36 @@ def render_plain(a: SkewDiagram) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _label_grid(a: SkewDiagram, rows: list[list[int]]) -> str:
-    """`render_labels` of the diagram, from its label rows already made."""
-    # labels weakly increase along a row, so its last one is its largest
-    depth = max((row[-1] for row in rows if row), default=0)
+def _symbol_grid(lines: list[str], depth: int) -> str:
+    """The drawn rows of a grid of at most `len(_SYMBOLS)` layers, with its legend."""
+    lines.extend(f"{_SYMBOLS[v - 1]} = {v}" for v in range(10, depth + 1))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _label_grid(a: SkewDiagram, rows: Iterable[list[int]], depth: int) -> str:
+    """`render_labels` of the diagram from its label rows, of `depth` layers.
+
+    It draws the decimal mode, and under `ribbons --verify` the reference
+    for the grid that `render_labels` drew.  `rows` may be an iterator:
+    each row is drawn as it comes.
+    """
     if depth <= len(_SYMBOLS):
         lines = [
             ":" * lo + "".join([_SYMBOLS[v - 1] for v in row])
             for (lo, _), row in zip(a.spans, rows)
         ]
-        lines.extend(f"{_SYMBOLS[v - 1]} = {v}" for v in range(10, depth + 1))
-    else:
-        # one symbol per label no longer suffices: decimal cells of one width
-        width = len(str(depth))
-        lines = [
-            " ".join([":".rjust(width)] * lo + [str(v).rjust(width) for v in row])
-            for (lo, _), row in zip(a.spans, rows)
-        ]
-    return "".join(line + "\n" for line in lines)
+        return _symbol_grid(lines, depth)
+    # one symbol per label no longer suffices: decimal cells of one width,
+    # cells[v] for label v and cells[0] for an inner box
+    width = len(str(depth))
+    cells = [":".rjust(width)] + [str(v).rjust(width) for v in range(1, depth + 1)]
+    lines = [
+        " ".join([cells[0]] * lo + list(map(cells.__getitem__, row)))
+        for (lo, _), row in zip(a.spans, rows)
+    ]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render_labels(a: SkewDiagram) -> str:
@@ -43,9 +62,16 @@ def render_labels(a: SkewDiagram) -> str:
     with no legend.
     """
     # imported here: a plain drawing needs no ribbon engine
-    from .ribbons import _label_rows
+    from .ribbons import _label_rows, _symbol_rows
 
-    return _label_grid(a, _label_rows(a))
+    lines = [":" * lo + row for (lo, _), row in zip(a.spans, _symbol_rows(a, _NEXT))]
+    # each row's last symbol is its largest label; an inner box ends none
+    ends = {line[-1] for line in lines}
+    if _PAST not in ends:
+        return _symbol_grid(lines, max(map(_SYMBOLS.find, ends), default=-1) + 1)
+    del lines  # not held while the decimal grid is drawn
+    depth = max(row[-1] for row in _label_rows(a) if row)
+    return _label_grid(a, _label_rows(a), depth)
 
 
 def render(a: SkewDiagram, mode: str = "plain") -> str:

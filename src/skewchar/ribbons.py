@@ -44,6 +44,7 @@ outer partition has boxes, and stops at the first empty A_v.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .partitions import Partition
@@ -107,23 +108,37 @@ def nw_layers(a: SkewDiagram) -> tuple[Partition, tuple[RibbonProfile, ...]]:
     return Partition(sizes), profiles
 
 
-def _label_rows(a: SkewDiagram) -> list[list[int]]:
-    """The northwest ribbon index of every box, as `RibbonLabeling.rows`."""
-    rows: list[list[int]] = []
+def _label_rows(a: SkewDiagram) -> Iterator[list[int]]:
+    """The northwest ribbon index of every box, row by row, as `RibbonLabeling.rows`."""
     above: list[int] = []  # labels of the row above, from column plo + 1 on
     plo = a.num_cols  # row 0 is empty at full width
     for lo, hi in a.spans:
         # lo <= plo and hi <= plo + len(above): exactly the boxes right of
         # column plo + 1 have a northwest neighbour
-        row = [1] * (min(hi, plo + 1) - lo) + [v + 1 for v in above[: max(0, hi - plo - 1)]]
-        rows.append(row)
-        above, plo = row, lo
-    return rows
+        above = [1] * (min(hi, plo + 1) - lo) + [v + 1 for v in above[: max(0, hi - plo - 1)]]
+        plo = lo
+        yield above
+
+
+def _symbol_rows(a: SkewDiagram, succ: dict[int, int]) -> Iterator[str]:
+    """`_label_rows` with each label as one symbol, label 1 as "1".
+
+    `succ`, a `str.translate` table, maps the symbol of each label to the
+    symbol of the next one, so each row is one C-level pass over the row
+    above.  A symbol `succ` does not map stays as it is.
+    """
+    above = ""
+    plo = a.num_cols
+    for lo, hi in a.spans:
+        n = max(0, hi - plo - 1)
+        above = "1" * (hi - lo - n) + above[:n].translate(succ)
+        plo = lo
+        yield above
 
 
 def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
     """Label every box with its northwest ribbon index."""
-    return RibbonLabeling(a, _label_rows(a), *nw_layers(a))
+    return RibbonLabeling(a, list(_label_rows(a)), *nw_layers(a))
 
 
 def pi_nw(a: SkewDiagram) -> Partition:

@@ -337,6 +337,31 @@ class TestRun:
         assert peak < 2.5 * len(text)
 
     @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["render", "5000^60", "--labels"], 3),
+            (["render", "600^600", "--labels"], 3),
+            (["ribbons", "5000^60", "--json"], 6),
+        ],
+        ids=["symbols", "decimal", "ribbons-json"],
+    )
+    def test_label_grid_holds_no_label_per_box(self, argv, bound):
+        # drawn from an int label per box, these peaked at 11, 7.7 and 12.8
+        # times their text; drawn row by row from the row above, at 2, 2.1 and 5
+        cmd = parse_args(argv)
+        run(cmd)  # the first run executes the ribbon engine
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            code, text = run(cmd)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < bound * len(text)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["ribbons", "10^2,8^4,5^2 / 5^4", "--strip", "1"],
@@ -754,6 +779,7 @@ class TestRun:
 
     @pytest.mark.parametrize("flags", [[], ["--json"], ["--verify"]], ids=["text", "json", "verify"])
     def test_ribbons_labels_once(self, monkeypatch, flags):
+        # the answer is the layers and the drawn grid: only the check labels boxes
         calls = []
 
         def counting(a):
@@ -764,7 +790,35 @@ class TestRun:
         monkeypatch.setattr(ribbons, "nw_labeling", counting)
         cmd = parse_args(["ribbons", "10^2,8^4,5^2 / 5^4", *flags])
         assert run(cmd)[0] == EXIT_OK
-        assert calls == [cmd.diagrams[0]]
+        assert calls == ([cmd.diagrams[0]] if "--verify" in flags else [])
+
+    @pytest.mark.parametrize(
+        "name, wrong, problem",
+        [
+            (
+                "render_labels",
+                lambda a: render_labels(a).replace("2", "3", 1),
+                "the written grid is not the drawing of the labeling",
+            ),
+            (
+                "nw_layers",
+                lambda a, layers=ribbons.nw_layers: (P(17, 15, 9, 1), layers(a)[1]),
+                "the written pi_nw or profiles are not those of the labeling",
+            ),
+        ],
+        ids=["grid", "pi_nw"],
+    )
+    def test_ribbons_verify_checks_the_written_answer(self, monkeypatch, name, wrong, problem):
+        text = "10^2,8^4,5^2 / 5^4"
+        # the check's labeling stays sound: only the written answer is wrong
+        labeling = nw_labeling(parse_skew(text))
+        monkeypatch.setattr(ribbons, "nw_labeling", lambda a: labeling)
+        monkeypatch.setattr(cli if name == "render_labels" else ribbons, name, wrong)
+        assert run(parse_args(["ribbons", text]))[0] == EXIT_OK
+        assert run(parse_args(["ribbons", text, "--verify"])) == (
+            EXIT_VERIFY,
+            f"verification failed: {problem}",
+        )
 
     def test_exhaustive_verify_needs_every_attainer(self, monkeypatch):
         original = durfeemax.brute_decompose
@@ -987,11 +1041,16 @@ class TestMainEntry:
         )
         assert proc.returncode == EXIT_USAGE
 
+    @pytest.mark.parametrize("text", ["٣,٢", "٠٠٠٠٠٠1"])
+    def test_partition_digits_are_ascii(self, capsys, text):
+        assert cli.main(["decompose", text]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: bad partition token {text.split(',')[0]!r}\n"
+
     def test_internal_error_exit(self, monkeypatch, capsys):
         def broken(a):
             raise AssertionError("northwest ribbon sizes are not weakly decreasing: [1, 2]")
 
-        monkeypatch.setattr(ribbons, "nw_labeling", broken)
+        monkeypatch.setattr(ribbons, "nw_layers", broken)
         assert cli.main(["ribbons", "2,1"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -239,6 +239,64 @@ class TestGrammar:
             with pytest.raises(GrammarError, match="at most"):
                 parse_partition(text)
 
+    @pytest.mark.parametrize("text", ["٣,٢", "٠٠٠٠٠٠1", "3^٢", "²", "1_0", "+1"])
+    def test_digits_are_ascii(self, text):
+        # int() reads every decimal digit, an underscore and a sign; the grammar does not
+        with pytest.raises(GrammarError, match="^bad partition token "):
+            parse_partition(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("20000,x", f"a part may be at most {MAX_PARTS}"),
+            ("x,20000", "bad partition token 'x'"),
+            ("1^0,20000", "exponent must be positive in '1^0'"),
+            ("20000,1^0", f"a part may be at most {MAX_PARTS}"),
+            ("1^10000,1", f"a partition may have at most {MAX_PARTS} parts"),
+            ("1^10000,x", "bad partition token 'x'"),
+            ("3,2,0^0", "exponent must be positive in '0^0'"),
+            (",".join(["1"] * (MAX_PARTS + 1)), f"a partition may have at most {MAX_PARTS} parts"),
+            ("100000", f"a part may be at most {MAX_PARTS}"),
+            ("1,00100000", f"a part may be at most {MAX_PARTS}"),
+        ],
+        ids=lambda value: value if len(value) < 30 else value[:10] + "...",
+    )
+    def test_first_bad_token_names_the_refusal(self, text, message):
+        with pytest.raises(GrammarError) as err:
+            parse_partition(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, parts",
+        [
+            (",".join(["1"] * MAX_PARTS), (1,) * MAX_PARTS),
+            (f"{MAX_PARTS}", (MAX_PARTS,)),
+            (f"0{MAX_PARTS}", (MAX_PARTS,)),
+            ("0000000000003,2", (3, 2)),
+            ("3^00002,000", (3, 3)),
+            ("1 0 , 2", (10, 2)),
+            ("1\t0^ 2,\n1", (10, 10, 1)),
+            ("1\u20030", (10,)),
+        ],
+        ids=["max-parts", "max-part", "leading-zero", "long-zeros", "zero-exponent-digits",
+             "space", "tab-newline", "unicode-space"],
+    )
+    def test_boundaries_and_whitespace_inside_tokens(self, text, parts):
+        assert parse_partition(text) == Partition(parts)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(1, 3), st.integers(0, 7)), min_size=1, max_size=6
+        )
+    )
+    def test_leading_zeros_and_exponents(self, runs):
+        # tokens of up to five characters and longer ones, with and without exponents
+        runs.sort(reverse=True)
+        text = ",".join(
+            "0" * z + str(b) + (f"^{'0' * z}{e}" if e > 1 else "") for b, e, z in runs
+        )
+        assert parse_partition(text) == Partition([b for b, e, _ in runs for _ in range(e)])
+
     def test_error_messages_clip_long_inputs(self):
         # short inputs are quoted whole, long ones cut to 60 characters and '...'
         with pytest.raises(ValueError, match=r"^partition parts must be weakly decreasing, got \[2, 3\]$"):
