@@ -17,7 +17,7 @@ square-framed skew shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .extremal import max_hl_characters, min_durfee
 from .lr import CharacterSum, brute_decompose, decompose_skew, schubert_product
@@ -25,19 +25,11 @@ from .partitions import Partition, _format_parts, contains, durfee
 from .skew import SkewDiagram, embed_disjoint
 
 
-@dataclass(frozen=True)
-class DurfeeWitness:
-    nu_inverse: Partition
-    mult: int
+DurfeeWitness = namedtuple("DurfeeWitness", "nu_inverse mult")
 
 
-@dataclass(frozen=True)
-class DurfeeMaxReport:
-    m: int
-    associated: SkewDiagram
-    max_durfee: int
-    witnesses: tuple[DurfeeWitness, ...]
-    exhaustive: bool
+class DurfeeMaxReport(namedtuple("DurfeeMaxReport", "m associated max_durfee witnesses exhaustive")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

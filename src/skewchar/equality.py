@@ -9,9 +9,8 @@ or compares full decompositions (exponential) term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
-from .lr import decompose_skew
 from .partitions import Partition
 from .ribbons import nw_layers
 from .skew import SkewDiagram, components, rotate180
@@ -19,34 +18,15 @@ from .skew import SkewDiagram, components, rotate180
 CONDITIONS = ("pi_nw", "ribbon_count", "arm_leg")
 
 
-@dataclass(frozen=True)
-class LevelRecord:
-    level: int
-    pi_nw_equal: bool
-    k_equal: bool
-    armleg_equal: bool
+LevelRecord = namedtuple("LevelRecord", "level pi_nw_equal k_equal armleg_equal")
+Discrepancy = namedtuple("Discrepancy", "partition mult_a mult_b")
+FullCheck = namedtuple("FullCheck", "equal first_discrepancy")
 
 
-@dataclass(frozen=True)
-class Discrepancy:
-    partition: Partition
-    mult_a: int
-    mult_b: int
-
-
-@dataclass(frozen=True)
-class FullCheck:
-    equal: bool
-    first_discrepancy: Discrepancy | None
-
-
-@dataclass(frozen=True)
-class EqualityReport:
-    levels: tuple[LevelRecord, ...]
-    passed: bool
-    fail_level: int | None
-    fail_condition: str | None
-    full: FullCheck | None = None
+class EqualityReport(
+    namedtuple("EqualityReport", "levels passed fail_level fail_condition full", defaults=(None,))
+):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         verdict: object = "pass"
@@ -131,6 +111,8 @@ def full_equality(a: SkewDiagram, b: SkewDiagram) -> tuple[bool, Discrepancy | N
     """
     if _component_key(a) == _component_key(b):
         return True, None
+    from .lr import decompose_skew  # only an expansion executes the LR engine
+
     da, db = decompose_skew(a), decompose_skew(b)
     if da == db:
         return True, None
@@ -148,5 +130,5 @@ def check_equality(a: SkewDiagram, b: SkewDiagram, full: bool = False) -> Equali
     report = necessary_conditions(a, b)
     if full and report.passed:
         equal, discrepancy = full_equality(a, b)
-        report = replace(report, full=FullCheck(equal, discrepancy))
+        report = report._replace(full=FullCheck(equal, discrepancy))
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import Partition, _echo, conjugate, from_frobenius
 from .ribbons import RibbonProfile, nw_layers
@@ -28,20 +28,11 @@ class TooManyWitnesses(Exception):
     """`max_hl_characters` would list more than `MAX_WITNESSES` witnesses."""
 
 
-@dataclass(frozen=True)
-class MaxHookWitness:
-    nu: Partition
-    mult: int
-    choices: tuple[int, ...]
+MaxHookWitness = namedtuple("MaxHookWitness", "nu mult choices")
 
 
-@dataclass(frozen=True)
-class MaxHookReport:
-    hl: Partition
-    gamma: Partition
-    witnesses: tuple[MaxHookWitness, ...]
-    distinct_count: int
-    min_durfee: int
+class MaxHookReport(namedtuple("MaxHookReport", "hl gamma witnesses distinct_count min_durfee")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

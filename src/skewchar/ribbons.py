@@ -44,32 +44,18 @@ outer partition has boxes, and stops at the first empty A_v.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .partitions import Partition
 from .skew import SkewDiagram, _from_spans
 
 
-@dataclass(frozen=True)
-class RibbonProfile:
-    """Shape data of one northwest ribbon layer."""
-
-    index: int
-    size: int
-    k: int
-    arm: int
-    leg: int
-
-
-@dataclass(eq=False)
-class RibbonLabeling:
-    """Northwest ribbon indices, row by row, with derived layer data."""
-
-    diagram: SkewDiagram
-    rows: list[list[int]]  # rows[i - 1]: row i's labels from column spans[i - 1][0] + 1 on
-    pi_nw: Partition
-    profiles: tuple[RibbonProfile, ...]
+# shape data of one northwest ribbon layer
+RibbonProfile = namedtuple("RibbonProfile", "index size k arm leg")
+# northwest ribbon indices, row by row, with derived layer data; rows[i - 1]:
+# row i's labels from column spans[i - 1][0] + 1 on
+RibbonLabeling = namedtuple("RibbonLabeling", "diagram rows pi_nw profiles")
 
 
 def nw_layers(a: SkewDiagram) -> tuple[Partition, tuple[RibbonProfile, ...]]:

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import errno
 import gc
 import hashlib
@@ -277,13 +276,13 @@ def writer_sums():
 
 def _with_layer(labeling, index, **change):
     """The labeling with one layer profile changed."""
-    return dataclasses.replace(labeling, profiles=_changed(labeling.profiles, index, **change))
+    return labeling._replace(profiles=_changed(labeling.profiles, index, **change))
 
 
 def _changed(profiles, index, **change):
     """The profiles with the one at `index` changed."""
     profiles = list(profiles)
-    profiles[index] = dataclasses.replace(profiles[index], **change)
+    profiles[index] = profiles[index]._replace(**change)
     return tuple(profiles)
 
 
@@ -635,7 +634,7 @@ class TestRun:
 
         def raised(*args, **kwargs):
             report = original(*args, **kwargs)
-            return dataclasses.replace(report, max_durfee=report.max_durfee + 1)
+            return report._replace(max_durfee=report.max_durfee + 1)
 
         argv = ["durfee-product", "5^2,3^2,2", "4,3,1^2", "--verify"]
         code, text = run(parse_args(argv))
@@ -665,7 +664,7 @@ class TestRun:
             answer = original(*args, **kwargs)
             if isinstance(answer, CharacterSum):
                 return CharacterSum(answer.weight, dict(answer.items()[:-1]))
-            return dataclasses.replace(answer, witnesses=answer.witnesses[:-1])
+            return answer._replace(witnesses=answer.witnesses[:-1])
 
         monkeypatch.setattr(module, engine, dropping)
         code, text = run(parse_args(argv))
@@ -715,7 +714,7 @@ class TestRun:
         monkeypatch.setattr(
             durfeemax,
             "max_durfee_product",
-            lambda *args, **kwargs: dataclasses.replace(original(*args, **kwargs), witnesses=witnesses),
+            lambda *args, **kwargs: original(*args, **kwargs)._replace(witnesses=witnesses),
         )
         assert run(parse_args(["durfee-product", "2,1", "2,1", "--verify"])) == (
             EXIT_VERIFY,
@@ -733,7 +732,7 @@ class TestRun:
         monkeypatch.setattr(
             extremal,
             "max_hl_characters",
-            lambda a: dataclasses.replace(original(a), **{field: value}),
+            lambda a: original(a)._replace(**{field: value}),
         )
         assert run(parse_args(argv)) == (
             EXIT_VERIFY,
@@ -745,14 +744,14 @@ class TestRun:
         [
             (lambda lab: _with_layer(lab, 2, k=3), "the layer profiles disagree"),
             (lambda lab: _with_layer(lab, 0, arm=0), "the layer profiles disagree"),
-            (lambda lab: dataclasses.replace(lab, pi_nw=P(17, 15, 9, 1)), "pi_nw disagrees"),
+            (lambda lab: lab._replace(pi_nw=P(17, 15, 9, 1)), "pi_nw disagrees"),
             # the first box of row 1 is (1, 6)
             (
-                lambda lab: dataclasses.replace(lab, rows=[[2, *lab.rows[0][1:]], *lab.rows[1:]]),
+                lambda lab: lab._replace(rows=[[2, *lab.rows[0][1:]], *lab.rows[1:]]),
                 "label recurrence broken at (1, 6)",
             ),
             (
-                lambda lab: dataclasses.replace(lab, rows=[*lab.rows[:-1], lab.rows[-1][:-1]]),
+                lambda lab: lab._replace(rows=[*lab.rows[:-1], lab.rows[-1][:-1]]),
                 "the labels do not cover the diagram",
             ),
             (
@@ -889,7 +888,7 @@ class TestRun:
         def no_expansion(_):
             raise AssertionError("full expansion of a copy")
 
-        monkeypatch.setattr(equality, "decompose_skew", no_expansion)
+        monkeypatch.setattr(lr, "decompose_skew", no_expansion)
         a = "13,12,11,10,9,8,7,6,5,4,3,2,1/6,5,4,3,2,1"
         b = "14^2,13,12,11,10,9,8,7,6,5,4,3,2/14,7,6,5,4,3,2,1^7"  # a, moved down and right
         code, structural = run(parse_args(["eqcheck", a, b]))
@@ -1133,8 +1132,9 @@ class TestMainEntry:
         assert err == b""
 
 
-# each verb's executed skewchar modules, and whether it imported dataclasses, in
-# a fresh interpreter: a before/after diff of sys.modules, whatever `site` loads
+# each verb's exit code, its executed skewchar modules, and which of dataclasses
+# and inspect it imported, in a fresh interpreter: a before/after diff of
+# sys.modules, whatever `site` loads
 _STARTUP = """
 import contextlib, io, json, sys, types
 before = set(sys.modules)
@@ -1142,36 +1142,44 @@ from skewchar import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 executed = [n for n, m in sys.modules.items() if n.split(".")[0] == "skewchar" and type(m) is types.ModuleType]
-print(json.dumps([code, sorted(executed), "dataclasses" in set(sys.modules) - before]))
+print(json.dumps([code, sorted(executed), sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))]))
 """
 _CORE = ["skewchar", "skewchar.cli", "skewchar.partitions", "skewchar.render", "skewchar.skew"]
+# (argv, exit code, executed engines)
+_STARTUP_CASES = [
+    (["render", "1"], EXIT_OK, []),
+    (["render", "3,1/1"], EXIT_OK, []),
+    (["decompose", "3,2/1"], EXIT_OK, ["lr"]),
+    (["decompose", "3,2/1", "--verify", "--json"], EXIT_OK, ["lr"]),
+    (["product", "2,1", "1"], EXIT_OK, ["lr"]),
+    (["schubert", "2,1", "1", "--box", "2,2"], EXIT_OK, ["lr"]),
+    (["render", "3,1/1", "--labels"], EXIT_OK, ["ribbons"]),
+    (["ribbons", "3,1/1"], EXIT_OK, ["ribbons"]),
+    (["ribbons", "3,1/1", "--verify"], EXIT_OK, ["ribbons"]),
+    (["maxhook", "3,1/1"], EXIT_OK, ["extremal", "ribbons"]),
+    (["maxhook", "3,1/1", "--verify"], EXIT_OK, ["extremal", "lr", "ribbons"]),
+    (["eqcheck", "3,1/1", "3,1/1"], EXIT_OK, ["equality", "ribbons"]),
+    # decided by the components: nothing is expanded
+    (["eqcheck", "2,1", "2,1", "--full"], EXIT_OK, ["equality", "ribbons"]),
+    (["eqcheck", "10^2,8^4,5^2 / 5^4", "10^4,8^2,3^2 / 5^4", "--full"], EXIT_UNEQUAL, ["equality", "lr", "ribbons"]),
+    (["durfee", "3,3,2/1,1"], EXIT_OK, ["durfeemax", "extremal", "lr", "ribbons"]),
+    (["durfee-product", "2,1", "1"], EXIT_OK, ["durfeemax", "extremal", "lr", "ribbons"]),
+]
 
 
 class TestStartup:
     @pytest.mark.parametrize(
-        "argv, engines",
-        [
-            (["render", "1"], []),
-            (["render", "3,1/1"], []),
-            (["decompose", "3,2/1"], ["lr"]),
-            (["decompose", "3,2/1", "--verify", "--json"], ["lr"]),
-            (["product", "2,1", "1"], ["lr"]),
-            (["schubert", "2,1", "1", "--box", "2,2"], ["lr"]),
-            (["render", "3,1/1", "--labels"], ["ribbons"]),
-            (["ribbons", "3,1/1"], ["ribbons"]),
-            (["maxhook", "3,1/1"], ["extremal", "ribbons"]),
-        ],
-        ids=lambda value: " ".join(value) if value else "core",
+        "argv, exit_code, engines",
+        _STARTUP_CASES,
+        ids=[f"{' '.join(argv)}-{' '.join(engines) or 'core'}" for argv, _, engines in _STARTUP_CASES],
     )
-    def test_a_verb_executes_only_its_modules(self, argv, engines):
+    def test_a_verb_executes_only_its_modules(self, argv, exit_code, engines):
         proc = subprocess.run([sys.executable, "-c", _STARTUP, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        code, executed, dataclasses_loaded = json.loads(proc.stdout)
-        assert code == EXIT_OK
+        code, executed, loaded = json.loads(proc.stdout)
+        assert code == exit_code
         assert executed == sorted(_CORE + [f"skewchar.{name}" for name in engines])
-        # every report dataclass is defined in ribbons or in an engine that imports it
-        if "ribbons" not in engines:
-            assert not dataclasses_loaded
+        assert loaded == []
 
 
 @st.composite

@@ -12,6 +12,7 @@ from skewchar import (
     embed_disjoint,
     equality,
     full_equality,
+    lr,
     necessary_conditions,
     normalize,
     parse_skew,
@@ -119,7 +120,7 @@ class TestFullEquality:
         def no_expansion(_):
             raise AssertionError("full expansion of a copy")
 
-        monkeypatch.setattr(equality, "decompose_skew", no_expansion)
+        monkeypatch.setattr(lr, "decompose_skew", no_expansion)
         staircase = parse_skew("13,12,11,10,9,8,7,6,5,4,3,2,1 / 6,5,4,3,2,1")
         rng = random.Random(65)
         cases = [staircase, SD((), ()), SD((3, 1), (3, 1))] + [random_skew(rng) for _ in range(15)]
@@ -137,7 +138,7 @@ class TestFullEquality:
         def no_expansion(_):
             raise AssertionError("full expansion of equal components")
 
-        monkeypatch.setattr(equality, "decompose_skew", no_expansion)
+        monkeypatch.setattr(lr, "decompose_skew", no_expansion)
         for alpha, beta in ((P(2), P(1)), (P(3, 1), P(2, 2)), (P(4, 2, 1), P(3))):
             pair = (embed_disjoint(alpha, beta), embed_disjoint(beta, alpha))
             assert pair[0] != pair[1]
@@ -191,7 +192,7 @@ class TestFullEquality:
             calls.append(d)
             return decompose_skew(d)
 
-        monkeypatch.setattr(equality, "decompose_skew", counting)
+        monkeypatch.setattr(lr, "decompose_skew", counting)
         assert full_equality(a, b) == (True, None)
         assert calls == [a, b]
 

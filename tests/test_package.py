@@ -7,7 +7,20 @@ import sys
 import pytest
 
 import skewchar
-from skewchar import Partition, SkewDiagram
+from skewchar import (
+    Discrepancy,
+    DurfeeMaxReport,
+    DurfeeWitness,
+    EqualityReport,
+    FullCheck,
+    LevelRecord,
+    MaxHookReport,
+    MaxHookWitness,
+    Partition,
+    RibbonLabeling,
+    RibbonProfile,
+    SkewDiagram,
+)
 
 from helpers import P, SD
 
@@ -203,3 +216,69 @@ class TestSkewDiagramValue:
         for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert b == a and hash(b) == hash(a) and type(b) is SkewDiagram
             assert b.spans == a.spans
+
+
+_PROFILE = RibbonProfile(1, 3, 2, 1, 0)
+_WITNESS = MaxHookWitness(P(2, 1), 1, (0,))
+_DURFEE_WITNESS = DurfeeWitness(P(2, 2), 1)
+_LEVEL = LevelRecord(0, True, True, False)
+_DISCREPANCY = Discrepancy(P(10, 10, 8, 7, 4, 3), 0, 1)
+_FULL = FullCheck(False, _DISCREPANCY)
+# one value of each report record type, with its exact repr
+RECORDS = [
+    (_PROFILE, "RibbonProfile(index=1, size=3, k=2, arm=1, leg=0)"),
+    (
+        RibbonLabeling(SD((3, 1), (1,)), [[1, 1], [1]], P(3), (_PROFILE,)),
+        "RibbonLabeling(diagram=SkewDiagram(outer=Partition([3, 1]), inner=Partition([1])), "
+        "rows=[[1, 1], [1]], pi_nw=Partition([3]), "
+        "profiles=(RibbonProfile(index=1, size=3, k=2, arm=1, leg=0),))",
+    ),
+    (_WITNESS, "MaxHookWitness(nu=Partition([2, 1]), mult=1, choices=(0,))"),
+    (
+        MaxHookReport(P(3), P(2), (_WITNESS,), 2, 1),
+        "MaxHookReport(hl=Partition([3]), gamma=Partition([2]), "
+        "witnesses=(MaxHookWitness(nu=Partition([2, 1]), mult=1, choices=(0,)),), "
+        "distinct_count=2, min_durfee=1)",
+    ),
+    (_DURFEE_WITNESS, "DurfeeWitness(nu_inverse=Partition([2, 2]), mult=1)"),
+    (
+        DurfeeMaxReport(3, SD((3, 2, 1), (1,)), 2, (_DURFEE_WITNESS,), False),
+        "DurfeeMaxReport(m=3, associated=SkewDiagram(outer=Partition([3, 2, 1]), inner=Partition([1])), "
+        "max_durfee=2, witnesses=(DurfeeWitness(nu_inverse=Partition([2, 2]), mult=1),), exhaustive=False)",
+    ),
+    (_LEVEL, "LevelRecord(level=0, pi_nw_equal=True, k_equal=True, armleg_equal=False)"),
+    (_DISCREPANCY, "Discrepancy(partition=Partition([10, 10, 8, 7, 4, 3]), mult_a=0, mult_b=1)"),
+    (
+        _FULL,
+        "FullCheck(equal=False, first_discrepancy="
+        "Discrepancy(partition=Partition([10, 10, 8, 7, 4, 3]), mult_a=0, mult_b=1))",
+    ),
+    (
+        EqualityReport((_LEVEL,), False, 0, "arm_leg", _FULL),
+        "EqualityReport(levels=(LevelRecord(level=0, pi_nw_equal=True, k_equal=True, armleg_equal=False),), "
+        "passed=False, fail_level=0, fail_condition='arm_leg', full=FullCheck(equal=False, "
+        "first_discrepancy=Discrepancy(partition=Partition([10, 10, 8, 7, 4, 3]), mult_a=0, mult_b=1)))",
+    ),
+]
+
+
+class TestRecordValues:
+    @pytest.mark.parametrize("record, text", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS])
+    def test_record(self, record, text):
+        kind, first = type(record), record._fields[0]
+        assert repr(record) == text
+        assert kind(*record) == record == kind(**record._asdict())
+        with pytest.raises(AttributeError):
+            setattr(record, first, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert other == record and type(other) is kind
+        changed = record._replace(**{first: None})
+        assert type(changed) is kind and getattr(changed, first) is None
+        assert changed[1:] == record[1:] and getattr(record, first) is not None
+
+    def test_reports(self):
+        assert EqualityReport((), True, None, None).full is None
+        for kind in (DurfeeMaxReport, EqualityReport, MaxHookReport):
+            assert callable(kind.to_json_dict)
