@@ -5,12 +5,29 @@ decompositions, hook-length-maximal constituents with multiplicities,
 Durfee size extremes, and structural equality tests.
 
 The names of `partitions`, `skew` and `render` are imported with the
-package.  An engine module (`durfeemax`, `equality`, `extremal`, `lr`,
-`ribbons`) is imported on first use of one of its names (PEP 562), so a
-command loads only the engines it runs.
+package.  The five engine modules (`durfeemax`, `equality`, `extremal`,
+`lr`, `ribbons`) are registered with it, as package attributes and in
+`sys.modules`, but not run: an engine runs when one of its names is first
+read, so a command runs only the engines it uses.  Inside the package, a
+module reaches an engine by `from . import <engine>`.
 """
 
-import importlib
+import importlib.util
+import sys
+import types
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The engine module `skewchar.<name>`, registered now and run on first attribute use."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+durfeemax, equality, extremal, lr, ribbons = map(_lazy, ("durfeemax", "equality", "extremal", "lr", "ribbons"))
 
 from .partitions import (
     GrammarError,
@@ -93,7 +110,7 @@ _ENGINES = {
         "strip_nw_ribbons",
     ),
 }
-# public name -> its engine module, imported on first use of the name
+# public name -> its engine module, run on first use of the name
 _ENGINE_OF = {name: module for module, names in _ENGINES.items() for name in names}
 
 # module by module, in alphabetical order of the modules
@@ -131,13 +148,11 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """An engine's public name, or an engine module, imported on first use."""
-    if name in _ENGINES:
-        return importlib.import_module(f".{name}", __name__)
+    """An engine's public name, read from its engine on first use."""
     module = _ENGINE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    value = globals()[name] = getattr(globals()[module], name)
     return value
 
 

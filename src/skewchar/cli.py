@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.util
 import json
 import os
 import re
 import sys
-import types
 
+from . import durfeemax, equality, extremal, lr, ribbons
 from .partitions import (
     GrammarError,
     Partition,
@@ -34,33 +33,6 @@ from .partitions import (
 )
 from .render import _label_grid, render, render_labels
 from .skew import box_components, embed_disjoint, parse_skew
-
-
-def _lazy(name: str) -> types.ModuleType:
-    """The engine module `skewchar.<name>`, executed on first attribute use.
-
-    It is registered at once, in `sys.modules` and on the package, as an
-    import registers it, so a later import or a lookup by module name finds
-    this same module.  An engine already imported is returned as it is.
-    """
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-# a verb executes only the engines it calls: each runs on its first use
-durfeemax = _lazy("durfeemax")
-equality = _lazy("equality")
-extremal = _lazy("extremal")
-lr = _lazy("lr")
-ribbons = _lazy("ribbons")
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import lr
 from .partitions import Partition
 from .ribbons import nw_layers
 from .skew import SkewDiagram, components, rotate180
@@ -111,9 +112,7 @@ def full_equality(a: SkewDiagram, b: SkewDiagram) -> tuple[bool, Discrepancy | N
     """
     if _component_key(a) == _component_key(b):
         return True, None
-    from .lr import decompose_skew  # only an expansion executes the LR engine
-
-    da, db = decompose_skew(a), decompose_skew(b)
+    da, db = lr.decompose_skew(a), lr.decompose_skew(b)
     if da == db:
         return True, None
     # the terms, as parts tuples, whose multiplicities differ

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
+from . import ribbons
 from .skew import SkewDiagram
 
 _SYMBOLS = "123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -18,6 +19,21 @@ def render_plain(a: SkewDiagram) -> str:
     """One line per row, inner boxes as ':' and skew boxes as '#'."""
     lines = [":" * lo + "#" * (hi - lo) for lo, hi in a.spans]
     return "".join(line + "\n" for line in lines)
+
+
+def _symbol_rows(a: SkewDiagram) -> Iterator[str]:
+    """`ribbons._label_rows` with each label as one symbol, label 1 as "1".
+
+    `_NEXT` maps the symbol of each label to the symbol of the next one,
+    so each row is one C-level pass over the row above.
+    """
+    above = ""
+    plo = a.num_cols
+    for lo, hi in a.spans:
+        n = max(0, hi - plo - 1)
+        above = "1" * (hi - lo - n) + above[:n].translate(_NEXT)
+        plo = lo
+        yield above
 
 
 def _symbol_grid(lines: list[str], depth: int) -> str:
@@ -61,17 +77,14 @@ def render_labels(a: SkewDiagram) -> str:
     boxes (':') are right-aligned to one width and separated by spaces,
     with no legend.
     """
-    # imported here: a plain drawing needs no ribbon engine
-    from .ribbons import _label_rows, _symbol_rows
-
-    lines = [":" * lo + row for (lo, _), row in zip(a.spans, _symbol_rows(a, _NEXT))]
+    lines = [":" * lo + row for (lo, _), row in zip(a.spans, _symbol_rows(a))]
     # each row's last symbol is its largest label; an inner box ends none
     ends = {line[-1] for line in lines}
     if _PAST not in ends:
         return _symbol_grid(lines, max(map(_SYMBOLS.find, ends), default=-1) + 1)
     del lines  # not held while the decimal grid is drawn
-    depth = max(row[-1] for row in _label_rows(a) if row)
-    return _label_grid(a, _label_rows(a), depth)
+    depth = max(row[-1] for row in ribbons._label_rows(a) if row)
+    return _label_grid(a, ribbons._label_rows(a), depth)
 
 
 def render(a: SkewDiagram, mode: str = "plain") -> str:

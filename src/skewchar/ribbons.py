@@ -106,22 +106,6 @@ def _label_rows(a: SkewDiagram) -> Iterator[list[int]]:
         yield above
 
 
-def _symbol_rows(a: SkewDiagram, succ: dict[int, int]) -> Iterator[str]:
-    """`_label_rows` with each label as one symbol, label 1 as "1".
-
-    `succ`, a `str.translate` table, maps the symbol of each label to the
-    symbol of the next one, so each row is one C-level pass over the row
-    above.  A symbol `succ` does not map stays as it is.
-    """
-    above = ""
-    plo = a.num_cols
-    for lo, hi in a.spans:
-        n = max(0, hi - plo - 1)
-        above = "1" * (hi - lo - n) + above[:n].translate(succ)
-        plo = lo
-        yield above
-
-
 def nw_labeling(a: SkewDiagram) -> RibbonLabeling:
     """Label every box with its northwest ribbon index."""
     return RibbonLabeling(a, list(_label_rows(a)), *nw_layers(a))

@@ -159,19 +159,25 @@ class TestPackageNames:
         }
 
     def test_import_executes_no_engine(self):
-        # a fresh interpreter: the engine names are served only when used
+        # a fresh interpreter: the engines are registered with the package,
+        # in sys.modules and as its attributes, and run only when used
         script = (
             "import sys, types, skewchar\n"
             "def executed():\n"
             "    return sorted(n for n, m in sys.modules.items()\n"
             "                  if n.split('.')[0] == 'skewchar' and type(m) is types.ModuleType)\n"
             "print(executed())\n"
+            "engines = ('durfeemax', 'equality', 'extremal', 'lr', 'ribbons')\n"
+            "print([(f'skewchar.{e}' in sys.modules, sys.modules.get(f'skewchar.{e}') is vars(skewchar).get(e),\n"
+            "        type(vars(skewchar).get(e)) is not types.ModuleType) for e in engines])\n"
             "skewchar.nw_layers\n"
             "print(executed())\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        first, second = proc.stdout.splitlines()
+        first, registered, second = proc.stdout.splitlines()
+        # each in sys.modules, the package attribute of its name, not yet run
+        assert registered == str([(True, True, True)] * 5)
         base = ["skewchar", "skewchar.partitions", "skewchar.render", "skewchar.skew"]
         assert first == str(base)
         assert second == str(sorted(base + ["skewchar.ribbons"]))
