@@ -31,7 +31,7 @@ from .partitions import (
     parse_partition,
     principal_hook_lengths,
 )
-from .render import _label_grid, render, render_labels
+from .render import render, render_labels
 from .skew import box_components, embed_disjoint, parse_skew
 
 EXIT_OK = 0
@@ -75,13 +75,15 @@ _EXHAUSTIVE = ("--exhaustive", {"action": "store_true"})
 _ORACLE = (_JSON, _VERIFY, _MAX_BOXES)
 
 
+# the values of the flags a verb may lack; max_boxes None: the verb runs no
+# refusable oracle
+_DEFAULTS = dict(verify=False, exhaustive=False, full=False, labels=False, box=None, strip=0, max_boxes=None)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="skewchar", description="Exact skew character computations")
-    # the flags a verb may lack; max_boxes None: the verb runs no refusable oracle
-    parser.set_defaults(
-        verify=False, exhaustive=False, full=False, labels=False, box=None, strip=0, max_boxes=None
-    )
+    parser.set_defaults(**_DEFAULTS)
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
     for verb, (help_text, inputs, flags, *_) in _HANDLERS.items():
         sp = sub.add_parser(verb, help=help_text)
@@ -90,6 +92,63 @@ def _build_parser() -> _Parser:
         for flag, options in flags:
             sp.add_argument(flag, **options)
     return parser
+
+
+@functools.cache
+def _grammar(verb: str) -> tuple[tuple[str, ...], dict, tuple[str, ...], dict]:
+    """The verb's inputs, flags, required dests and namespace defaults, as `add_argument` sets them.
+
+    The flags map each flag string to its dest and its value's `type`, or
+    None for a `store_true` flag.
+    """
+    _, inputs, flags, *_ = _HANDLERS[verb]
+    table, required, defaults = {}, [], dict(_DEFAULTS, verb=verb)
+    for flag, options in flags:
+        dest = options.get("dest") or flag.lstrip("-").replace("-", "_")
+        store_true = options.get("action") == "store_true"
+        table[flag] = dest, None if store_true else options.get("type", str)
+        defaults[dest] = options.get("default", False if store_true else None)
+        if options.get("required"):
+            required.append(dest)
+    return inputs, table, tuple(required), defaults
+
+
+def _direct_read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `_build_parser().parse_args(argv)` returns, for a well-formed argv; else None.
+
+    Well-formed: an exact verb, its inputs as tokens that do not start with
+    '-', and exact flags of the verb, each value flag followed by a value
+    that does not start with '-' and that its type accepts.  What this
+    leaves (help, abbreviations, `--flag=value`, `--`, dash-led values and
+    every usage error) is argparse's to read.
+    """
+    if not argv or argv[0] not in _HANDLERS:
+        return None
+    inputs, flags, required, defaults = _grammar(argv[0])
+    values, given, seen = dict(defaults), [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in flags:
+            return None
+        dest, convert = flags[token]
+        if convert is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = convert(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # argparse words the refusal
+        seen.add(dest)
+    if len(given) != len(inputs) or not seen.issuperset(required):
+        return None
+    values.update(zip(inputs, given))
+    return argparse.Namespace(**values)
 
 
 def _parsed(parse, text: str):
@@ -105,8 +164,16 @@ _BOX = re.compile(r"([0-9]{1,9}),([0-9]{1,9})")
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """The parsed namespace, with `diagrams`, `partitions` and `box` converted."""
-    cmd = _build_parser().parse_args(argv)
+    """The parsed namespace, with `diagrams`, `partitions` and `box` converted.
+
+    A well-formed argument list is read straight from `_HANDLERS`
+    (`_direct_read`), and the argparse parser is never built.  Abbreviated
+    flags, `--flag=value`, `--`, help and every usage error go through
+    argparse, the only source of help and usage text.
+    """
+    cmd = _direct_read(argv)
+    if cmd is None:
+        cmd = _build_parser().parse_args(argv)
     if cmd.box is not None:
         m = _BOX.fullmatch("".join(cmd.box.split()))
         if not m:
@@ -255,9 +322,33 @@ def _check_ribbons(cmd: argparse.Namespace, answer: tuple) -> str | None:
     pi, profiles, grid = answer
     if (pi, profiles) != (labeling.pi_nw, labeling.profiles):
         return "the written pi_nw or profiles are not those of the labeling"
-    if grid != _label_grid(a, labeling.rows, len(layers)):
+    if grid != _drawn_labels(a, labels, len(layers)):
         return "the written grid is not the drawing of the labeling"
     return None
+
+
+# the label symbols of a grid of at most 61 layers, as README lists them
+_GRID_SYMBOLS = "123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _drawn_labels(a, labels: dict[tuple[int, int], int], depth: int) -> str:
+    """The grid of `render_labels` by its documented rules, drawn box by box from the labels.
+
+    Up to 61 layers one symbol per label, then the legend of the labels
+    past 9; beyond, right-aligned decimal cells of one width separated by
+    spaces.  An inner box is ':' in either mode.
+    """
+    if depth <= len(_GRID_SYMBOLS):
+        cells, sep = ":" + _GRID_SYMBOLS, ""
+        legend = [f"{cells[v]} = {v}" for v in range(10, depth + 1)]
+    else:
+        width = len(str(depth))
+        cells, sep, legend = [f"{v or ':':>{width}}" for v in range(depth + 1)], " ", []
+    lines = [
+        sep.join([cells[0]] * lo + [cells[labels[r, c]] for c in range(lo + 1, hi + 1)])
+        for r, (lo, hi) in enumerate(a.spans, 1)
+    ]
+    return "".join(line + "\n" for line in lines + legend)
 
 
 def _write_ribbons(cmd: argparse.Namespace, answer: tuple) -> tuple[int, str]:

@@ -36,28 +36,13 @@ def _symbol_rows(a: SkewDiagram) -> Iterator[str]:
         yield above
 
 
-def _symbol_grid(lines: list[str], depth: int) -> str:
-    """The drawn rows of a grid of at most `len(_SYMBOLS)` layers, with its legend."""
-    lines.extend(f"{_SYMBOLS[v - 1]} = {v}" for v in range(10, depth + 1))
-    lines.append("")
-    return "\n".join(lines)
-
-
 def _label_grid(a: SkewDiagram, rows: Iterable[list[int]], depth: int) -> str:
-    """`render_labels` of the diagram from its label rows, of `depth` layers.
+    """`render_labels` of a diagram of `depth` layers, more than there are symbols, from its label rows.
 
-    It draws the decimal mode, and under `ribbons --verify` the reference
-    for the grid that `render_labels` drew.  `rows` may be an iterator:
-    each row is drawn as it comes.
+    One symbol per label no longer suffices: decimal cells of one width,
+    cells[v] for label v and cells[0] for an inner box.  `rows` may be an
+    iterator: each row is drawn as it comes.
     """
-    if depth <= len(_SYMBOLS):
-        lines = [
-            ":" * lo + "".join([_SYMBOLS[v - 1] for v in row])
-            for (lo, _), row in zip(a.spans, rows)
-        ]
-        return _symbol_grid(lines, depth)
-    # one symbol per label no longer suffices: decimal cells of one width,
-    # cells[v] for label v and cells[0] for an inner box
     width = len(str(depth))
     cells = [":".rjust(width)] + [str(v).rjust(width) for v in range(1, depth + 1)]
     lines = [
@@ -81,7 +66,10 @@ def render_labels(a: SkewDiagram) -> str:
     # each row's last symbol is its largest label; an inner box ends none
     ends = {line[-1] for line in lines}
     if _PAST not in ends:
-        return _symbol_grid(lines, max(map(_SYMBOLS.find, ends), default=-1) + 1)
+        depth = max(map(_SYMBOLS.find, ends), default=-1) + 1
+        lines.extend(f"{_SYMBOLS[v - 1]} = {v}" for v in range(10, depth + 1))
+        lines.append("")
+        return "\n".join(lines)
     del lines  # not held while the decimal grid is drawn
     depth = max(row[-1] for row in ribbons._label_rows(a) if row)
     return _label_grid(a, ribbons._label_rows(a), depth)

@@ -76,6 +76,35 @@ def partitions_of_weight_in_box(n: int, k: int, l: int):
         yield Partition(parts)
 
 
+def skew_diagrams(n: int):
+    """Every normalized skew diagram of n boxes whose outer partition fits in the n x n box, once each.
+
+    Built from row spans (a, b], the bottom row first: it starts in column
+    1, and each row above starts and ends weakly right of the one below.
+    An empty row is pinned at the end of the row below it, where
+    `normalize` puts it, and the top row is never empty.  The n x n box
+    bounds the gaps of a disconnected diagram.
+    """
+
+    def grow(spans, left):
+        if not left:
+            yield spans
+            return
+        if len(spans) == n:
+            return
+        lo, hi = spans[-1]
+        yield from grow(spans + [(hi, hi)], left)
+        for b in range(hi, n + 1):
+            for a in range(max(lo, b - left), b):
+                yield from grow(spans + [(a, b)], left - (b - a))
+
+    if not n:
+        yield SD((), ())
+    for width in range(1, n + 1):
+        for spans in grow([(0, width)], n - width):
+            yield SD([b for _, b in reversed(spans)], [a for a, _ in reversed(spans)])
+
+
 def is_lattice_word(word) -> bool:
     """Every prefix holds at least as many i as i+1, for every i >= 1."""
     counts: list[int] = []

@@ -50,6 +50,8 @@ from skewchar.cli import (
 
 from skewchar.partitions import MAX_PARTS, format_partition, parse_partition
 
+from output_corpus import read_corpus
+
 from helpers import (
     LABEL_SYMBOLS,
     P,
@@ -237,6 +239,128 @@ class TestParse:
         assert "inner not contained in outer" in str(err.value)
 
 
+def _argparse_reads(argv):
+    """The namespace argparse returns for argv, or None where it refuses or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli._build_parser().parse_args(argv)
+    except (UsageError, SystemExit):
+        return None
+
+
+def _plainly_formed(argv) -> bool:
+    """An exact verb, and every dash-led token an exact flag of it: no abbreviation, '=' or dash-led value."""
+    if not argv or argv[0] not in cli._HANDLERS:
+        return False
+    flags = {flag for flag, _ in cli._HANDLERS[argv[0]][2]}
+    return all(not token.startswith("-") or token in flags for token in argv[1:])
+
+
+def _same_reading(argv) -> bool:
+    """The direct read gives argparse's namespace, or None; never None where argv is plainly formed."""
+    expected, got = _argparse_reads(argv), cli._direct_read(argv)
+    if expected is not None and _plainly_formed(argv):
+        return got == expected
+    return got is None or got == expected
+
+
+_FUZZ_INPUTS = ("2,1", "", "01", "x y", "2,2", "3,1/1", "4,3")
+_FUZZ_TOKENS = (
+    *_FUZZ_INPUTS,
+    *sorted({flag for _, _, flags, *_ in cli._HANDLERS.values() for flag, _ in flags}),
+    *("-1", "--", "-", "-h", "--help", "--js", "--box=2,2", "--max-boxes=4", "-x y"),
+)
+_FUZZ_VERBS = (*cli._HANDLERS, "-h", "decomp", "")
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    """A verb (or not), mostly with its inputs, and a few tokens of any kind, shuffled."""
+    verb = rng.choice(_FUZZ_VERBS)
+    tail = []
+    if verb in cli._HANDLERS and rng.random() < 0.7:
+        tail = [rng.choice(_FUZZ_INPUTS) for _ in cli._HANDLERS[verb][1]]
+    tail += [rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(tail)
+    return [verb, *tail]
+
+
+class TestDirectRead:
+    def test_every_corpus_list_reads_as_argparse_reads_it(self):
+        lists = [list(argv) for _, argv in read_corpus()]
+        assert [argv for argv in lists if not _same_reading(argv)] == []
+        # all but the two dash-led values, `--strip -1` and `--max-boxes -1`
+        assert sum(cli._direct_read(argv) is not None for argv in lists) == len(lists) - 2
+
+    def test_seeded_fuzz_reads_as_argparse_reads_it(self):
+        rng = random.Random(31)
+        lists = [_fuzz_argv(rng) for _ in range(5000)]
+        assert [argv for argv in lists if not _same_reading(argv)] == []
+        # the fuzz reaches both paths
+        read = sum(cli._direct_read(argv) is not None for argv in lists)
+        assert 500 < read < len(lists) - 500
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--json", "2,1"],
+            ["eqcheck", "2,1", "--full", "1"],
+            ["ribbons", "3,2", "--strip", "1", "--strip", "0"],
+            ["decompose", "2,1", "--max-boxes", "5", "--max-boxes", "7"],
+            ["render", ""],
+            ["schubert", "1", "1", "--json", "--box", " 2 , 2 "],
+        ],
+        ids=["flag-first", "flag-between", "strip-last-wins", "count-last-wins", "empty-input", "box-spaces"],
+    )
+    def test_well_formed_lists_read_directly(self, argv):
+        assert cli._direct_read(argv) is not None
+        assert cli._direct_read(argv) == _argparse_reads(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "2,1", "--js"],
+            ["schubert", "3,1", "2,2", "--box=4,3"],
+            ["decompose", "2,1", "--max-boxes", "-1"],
+            ["decompose", "--", "2,1"],
+            ["decompose", "2,1", "--max-boxes", "x"],
+            ["decompose", "2,1", "--max-boxes"],
+            ["schubert", "3,1", "2,2"],
+            ["decompose", "2,1", "2,1"],
+            ["decompose"],
+            ["eqcheck", "2,1", "2,1", "--verify"],
+            ["decompose", "-h"],
+            ["decomp", "2,1"],
+            [],
+        ],
+    )
+    def test_the_rest_goes_to_argparse(self, argv):
+        assert cli._direct_read(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "4^2,2^2,1^2 / 1^4", "--json"],
+            ["schubert", "2", "2", "--box", "2,2", "--verify"],
+            ["ribbons", "10^2,8^4,5^2 / 5^4", "--strip", "1"],
+            ["maxhook", "8^2,7,4,3^2 / 4,3,2", "--max-boxes", "40", "--verify"],
+            ["durfee", "3,3,2/1,1", "--exhaustive"],
+            ["eqcheck", "3,1/1", "3,1/1", "--full", "--json"],
+            ["render", "2,2/1", "--labels"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_well_formed_list_never_builds_the_parser(self, monkeypatch, capsys, argv):
+        assert cli.main(argv) == EXIT_OK
+        expected = capsys.readouterr()
+
+        def refuse():
+            raise AssertionError("the parser was built")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert cli.main(argv) == EXIT_OK
+        assert capsys.readouterr() == expected
+
+
 STAIRCASE_11_4 = SD(range(11, 0, -1), range(4, 0, -1))
 
 
@@ -277,6 +401,13 @@ def writer_sums():
 def _with_layer(labeling, index, **change):
     """The labeling with one layer profile changed."""
     return labeling._replace(profiles=_changed(labeling.profiles, index, **change))
+
+
+def _nine_last(lines):
+    """The lines with the last character of the first one a 9."""
+    lines = list(lines)
+    lines[0] = lines[0][:-1] + "9"
+    return lines
 
 
 def _changed(profiles, index, **change):
@@ -817,6 +948,34 @@ class TestRun:
         assert run(parse_args(["ribbons", text, "--verify"])) == (
             EXIT_VERIFY,
             f"verification failed: {problem}",
+        )
+
+    @pytest.mark.parametrize(
+        "text, name, mutate",
+        [
+            ("10^2,8^4,5^2 / 5^4", "_symbol_rows", lambda original: lambda a: iter(_nine_last(original(a)))),
+            (
+                "62^62",
+                "_label_grid",
+                lambda original: lambda *args: "\n".join(_nine_last(original(*args).split("\n"))),
+            ),
+        ],
+        ids=["symbol", "decimal"],
+    )
+    def test_ribbons_verify_draws_its_own_grid(self, monkeypatch, text, name, mutate):
+        # the grid drawing of one mode writes a 9 in the last cell of the first
+        # row, wherever the package binds it: the check must draw without it
+        original = getattr(sys.modules["skewchar.render"], name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "skewchar":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, mutate(original))
+        code, out = run(parse_args(["ribbons", text]))
+        assert code == EXIT_OK and out.split("\n", 1)[0].endswith("9")
+        assert run(parse_args(["ribbons", text, "--verify"])) == (
+            EXIT_VERIFY,
+            "verification failed: the written grid is not the drawing of the labeling",
         )
 
     def test_exhaustive_verify_needs_every_attainer(self, monkeypatch):
