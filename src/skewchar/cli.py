@@ -193,52 +193,32 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return cmd
 
 
+# Every --json text is `json.dumps(report.to_json_dict(), indent=2) + "\n"`,
+# written from `%` templates: with `indent` set, `json.dumps` takes its
+# pure-Python encoder, which builds a `JSONEncoder` and closure cycles on
+# every call and visits every value one call at a time.
 _quote = json.encoder.encode_basestring_ascii
-
-
-def _json(obj, pad: str = "\n") -> str:
-    """`json.dumps(obj, indent=2)` for what reports hold: str-keyed dicts, lists, str, int, bool, None.
-
-    `pad` is the newline and indentation of the enclosing level.  With
-    `indent` set, `json.dumps` takes its pure-Python encoder, which builds a
-    `JSONEncoder` and closure cycles on every call.
-    """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return _quote(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        fields = [f"{_quote(key)}: {_json(value, inner)}" for key, value in obj.items()]
-        return "{" + inner + ("," + inner).join(fields) + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        if all(type(x) is int for x in obj):
-            items = map(str, obj)
-        else:
-            items = [_json(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _json_text(obj) -> str:
-    return _json(obj) + "\n"
+_BOOL = {True: "true", False: "false"}
 
 
 @functools.cache
-def _term_template(length: int) -> str:
-    """The JSON of one term whose partition has `length` parts, as a `%` template."""
-    parts = "[\n        " + ",\n        ".join(["%d"] * length) + "\n      ]" if length else "[]"
-    return '    {\n      "partition": ' + parts + ',\n      "mult": %d\n    }'
+def _ints(length: int, indent: int) -> str:
+    """A list of `length` ints whose key sits `indent` spaces in, as a `%` template."""
+    if not length:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + "  " + f",{pad}  ".join(["%d"] * length) + pad + "]"
+
+
+@functools.cache
+def _term_template(length: int, key: str = "partition") -> str:
+    """One entry {key: <`length` ints>, "mult": m} of a top-level list, as a `%` template."""
+    return '    {\n      "' + key + '": ' + _ints(length, 6) + ',\n      "mult": %d\n    }'
+
+
+def _entries(texts: list[str]) -> str:
+    """A top-level list whose entries are already written four spaces in."""
+    return "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
 
 
 # terms formatted and joined at a time: a large sum's text is built from
@@ -256,7 +236,7 @@ def _term_chunks(cs: lr.CharacterSum, line, sep: str) -> list[str]:
 
 
 def _character_sum_json(cs: lr.CharacterSum) -> str:
-    """`_json_text(cs.to_json_dict())`, written chunk by chunk.
+    """`json.dumps(cs.to_json_dict(), indent=2) + "\\n"`, written chunk by chunk.
 
     The brackets go on the first and last chunk, so the one final join is
     the only copy of the whole text.
@@ -351,19 +331,23 @@ def _drawn_labels(a, labels: dict[tuple[int, int], int], depth: int) -> str:
     return "".join(line + "\n" for line in lines + legend)
 
 
+_PROFILE = (
+    '    {\n      "index": %d,\n      "size": %d,\n      "k": %d,\n      "arm": %d,\n      "leg": %d\n    }'
+)
+
+
 def _write_ribbons(cmd: argparse.Namespace, answer: tuple) -> tuple[int, str]:
     a = cmd.diagrams[0]
     pi, profiles, grid = answer
     if cmd.json_out:
-        payload = {
-            "pi_nw": list(pi.parts),
-            "profiles": [
-                {"index": p.index, "size": p.size, "k": p.k, "arm": p.arm, "leg": p.leg}
-                for p in profiles
-            ],
-            "grid": grid.splitlines(),
-        }
-        return EXIT_OK, _json_text(payload)
+        # a grid holds no backslash, so the escaped "\n"s of its quoted text
+        # are its line breaks; the last one ends the text
+        lines = "[\n    " + _quote(grid[:-1]).replace("\\n", '",\n    "') + "\n  ]" if grid else "[]"
+        profile_texts = [_PROFILE % p for p in profiles]
+        return EXIT_OK, (
+            f'{{\n  "pi_nw": {_ints(pi.length, 2) % pi.parts},\n  "profiles": {_entries(profile_texts)},'
+            f'\n  "grid": {lines}\n}}\n'
+        )
     lines = [grid.rstrip("\n")] if a.size else []
     lines.append(f"pi_nw = {format_partition(pi)}")
     lines.extend(
@@ -388,9 +372,25 @@ def _check_maxhook(cmd: argparse.Namespace, report: extremal.MaxHookReport) -> s
     return None
 
 
+@functools.cache
+def _witness_template(length: int, choices: int) -> str:
+    """One max-hl witness of `length` parts and `choices` choices, as a `%` template."""
+    nu, picks = _ints(length, 6), _ints(choices, 6)
+    return '    {\n      "nu": ' + nu + ',\n      "mult": %d,\n      "choices": ' + picks + "\n    }"
+
+
 def _write_maxhook(cmd: argparse.Namespace, report: extremal.MaxHookReport) -> tuple[int, str]:
     if cmd.json_out:
-        return EXIT_OK, _json_text(report.to_json_dict())
+        hl, gamma = report.hl.parts, report.gamma.parts
+        witnesses = [
+            _witness_template(w.nu.length, len(w.choices)) % (*w.nu.parts, w.mult, *w.choices)
+            for w in report.witnesses
+        ]
+        return EXIT_OK, (
+            f'{{\n  "hl": {_ints(len(hl), 2) % hl},\n  "gamma": {_ints(len(gamma), 2) % gamma},'
+            f'\n  "distinct": {report.distinct_count},\n  "min_durfee": {report.min_durfee},'
+            f'\n  "witnesses": {_entries(witnesses)}\n}}\n'
+        )
     lines = [
         f"hl = {format_partition(report.hl)}",
         f"gamma = {format_partition(report.gamma)}",
@@ -421,7 +421,16 @@ def _check_durfee(cmd: argparse.Namespace, report: durfeemax.DurfeeMaxReport) ->
 
 def _write_durfee(cmd: argparse.Namespace, report: durfeemax.DurfeeMaxReport) -> tuple[int, str]:
     if cmd.json_out:
-        return EXIT_OK, _json_text(report.to_json_dict())
+        outer, inner = report.associated.outer.parts, report.associated.inner.parts
+        witnesses = [
+            _term_template(w.nu_inverse.length, "nu_inverse") % (*w.nu_inverse.parts, w.mult)
+            for w in report.witnesses
+        ]
+        return EXIT_OK, (
+            f'{{\n  "m": {report.m},\n  "associated": {{\n    "outer": {_ints(len(outer), 4) % outer},'
+            f'\n    "inner": {_ints(len(inner), 4) % inner}\n  }},\n  "max_durfee": {report.max_durfee},'
+            f'\n  "witnesses": {_entries(witnesses)},\n  "exhaustive": {_BOOL[report.exhaustive]}\n}}\n'
+        )
     lines = [
         f"m = {report.m}",
         f"associated = {report.associated}",
@@ -432,6 +441,37 @@ def _write_durfee(cmd: argparse.Namespace, report: durfeemax.DurfeeMaxReport) ->
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
+_LEVEL = (
+    '    {\n      "level": %d,\n      "pi_nw_equal": %s,\n      "k_equal": %s,\n      "armleg_equal": %s\n    }'
+)
+
+
+def _eqcheck_json(report: equality.EqualityReport) -> str:
+    """`json.dumps(report.to_json_dict(), indent=2) + "\\n"`."""
+    levels = [_LEVEL % (level, *map(_BOOL.__getitem__, flags)) for level, *flags in report.levels]
+    verdict = '"pass"'
+    if not report.passed:
+        verdict = '{\n    "fail": {\n      "level": %d,\n      "condition": %s\n    }\n  }' % (
+            report.fail_level,
+            _quote(report.fail_condition),
+        )
+    full = "null"
+    if report.full is not None:
+        d = report.full.first_discrepancy
+        disc = "null"
+        if d is not None:
+            parts = d.partition.parts
+            disc = (
+                '{\n      "partition": ' + _ints(len(parts), 6) % parts
+                + f',\n      "mult_a": {d.mult_a},\n      "mult_b": {d.mult_b}\n    }}'
+            )
+        full = f'{{\n    "equal": {_BOOL[report.full.equal]},\n    "first_discrepancy": {disc}\n  }}'
+    return (
+        f'{{\n  "levels": {_entries(levels)},\n  "structural_verdict": {verdict},'
+        f'\n  "full_check": {full}\n}}\n'
+    )
+
+
 def _write_eqcheck(cmd: argparse.Namespace, report: equality.EqualityReport) -> tuple[int, str]:
     if not report.passed:
         code = EXIT_STRUCTURAL
@@ -440,7 +480,7 @@ def _write_eqcheck(cmd: argparse.Namespace, report: equality.EqualityReport) -> 
     else:
         code = EXIT_OK
     if cmd.json_out:
-        return code, _json_text(report.to_json_dict())
+        return code, _eqcheck_json(report)
     lines = []
     for rec in report.levels:
         flags = (

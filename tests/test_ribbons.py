@@ -23,6 +23,7 @@ from skewchar import (
     strip_nw_ribbons,
 )
 from skewchar import ribbons
+from skewchar.ribbons import RibbonProfile
 
 from helpers import (
     P,
@@ -222,7 +223,7 @@ def skew_diagrams(draw):
 
 
 class TestCountingPass:
-    """`nw_layers` reads each layer off the row spans of A_v; the reference labels every box.
+    """`nw_layers` reads every layer off the diagonal lengths; the reference labels every box.
 
     The reference flood-fills each layer of its box -> label map.  The
     labels of `nw_labeling`, stripping (A_{t+1} from the spans) and the
@@ -272,6 +273,22 @@ class TestCountingPass:
         for (r, c), v in labels.items():
             assert labels.get((r, c + 1), v) >= v
             assert labels.get((r + 1, c), v) >= v
+
+
+class TestDiagonalLengths:
+    """Layer v holds one box of each diagonal of length v or more: closed forms at 10^4 rows or columns."""
+
+    def test_square_layers_in_closed_form(self):
+        # layer v of n^n is the hook of the box (v, v): 2(n - v) + 1 boxes
+        n = 10_000
+        pi, profiles = nw_layers(SD((n,) * n))
+        assert pi.parts == tuple(2 * (n - v) + 1 for v in range(1, n + 1))
+        assert profiles == tuple(RibbonProfile(v, 2 * (n - v) + 1, 1, n - v, n - v) for v in range(1, n + 1))
+
+    def test_a_row_and_a_column_are_one_layer(self):
+        n = 10_000
+        assert nw_layers(SD((n,))) == (P(n), (RibbonProfile(1, n, 1, n - 1, 0),))
+        assert nw_layers(SD((1,) * n)) == (P(n), (RibbonProfile(1, n, 1, 0, n - 1),))
 
 
 def test_layer_data_label_no_box(monkeypatch):
